@@ -16,28 +16,25 @@ int main() {
 
   datagen::DblpOptions gen = BenchQueryPerfOptions();
   datagen::Corpus corpus = datagen::GenerateDblp(gen);
-  auto engine = BuildEngine(
-      Reparse(&corpus),
-      {index::IndexKind::kNaiveId, index::IndexKind::kNaiveRank,
-       index::IndexKind::kDil, index::IndexKind::kRdil,
-       index::IndexKind::kHdil});
+  const index::IndexKind kinds[] = {
+      index::IndexKind::kNaiveId, index::IndexKind::kNaiveRank,
+      index::IndexKind::kDil, index::IndexKind::kRdil,
+      index::IndexKind::kHdil};
+  auto indexed = BuildCorpus(Reparse(&corpus),
+                             {std::begin(kinds), std::end(kinds)});
 
   constexpr size_t kTopM = 10;
   constexpr size_t kQueriesPerPoint = 3;
   std::printf("=== Figure 10: query cost vs #keywords, HIGH correlation "
               "(top-%zu, cold cache) ===\n", kTopM);
   std::printf("corpus: %zu docs, %zu elements\n\n",
-              engine->graph().document_count(),
-              engine->graph().element_count());
+              indexed->graph.document_count(),
+              indexed->graph.element_count());
   std::printf("%-12s", "Approach");
   for (int k = 1; k <= 4; ++k) std::printf("   %d kw (cost)", k);
   std::printf("      wall ms (1..4 kw)\n");
   PrintRule(96);
 
-  const index::IndexKind kinds[] = {
-      index::IndexKind::kNaiveId, index::IndexKind::kNaiveRank,
-      index::IndexKind::kDil, index::IndexKind::kRdil,
-      index::IndexKind::kHdil};
   for (index::IndexKind kind : kinds) {
     std::printf("%-12s", std::string(index::IndexKindName(kind)).c_str());
     std::string wall;
@@ -48,7 +45,7 @@ int main() {
       workload.mode = datagen::CorrelationMode::kHigh;
       workload.seed = 100 + keywords;
       auto queries = datagen::MakeQueries(corpus.planted, workload);
-      AveragedStats stats = RunQuerySet(engine.get(), queries, kTopM, kind);
+      AveragedStats stats = RunQuerySet(indexed.get(), queries, kTopM, kind);
       std::printf(" %12.1f", stats.io_cost);
       wall += StringPrintf(" %7.2f", stats.wall_ms);
     }

@@ -13,9 +13,9 @@ int main() {
 
   datagen::DblpOptions gen = BenchDblpOptions();
   datagen::Corpus corpus = datagen::GenerateDblp(gen);
-  auto engine = BuildEngine(Reparse(&corpus),
-                            {index::IndexKind::kDil, index::IndexKind::kRdil,
-                             index::IndexKind::kHdil});
+  auto indexed = BuildCorpus(Reparse(&corpus),
+                             {index::IndexKind::kDil, index::IndexKind::kRdil,
+                              index::IndexKind::kHdil});
 
   std::printf("=== Section 5.4: keyword selectivity sweep "
               "(2-keyword conjunctions, top-10, cold cache) ===\n\n");
@@ -38,7 +38,7 @@ int main() {
     for (index::IndexKind kind :
          {index::IndexKind::kDil, index::IndexKind::kRdil,
           index::IndexKind::kHdil}) {
-      AveragedStats stats = RunQuerySet(engine.get(), queries, 10, kind);
+      AveragedStats stats = RunQuerySet(indexed.get(), queries, 10, kind);
       std::printf(" %14.1f", stats.io_cost);
     }
     std::printf("\n");

@@ -28,12 +28,11 @@
 namespace xrank::bench {
 namespace {
 
-void Report(const char* dataset, core::XRankEngine* engine,
+void Report(const char* dataset, const harness::IndexedCorpus& corpus,
             size_t input_bytes) {
   std::printf("\n%s (input: %s, %zu elements, %zu hyperlinks)\n", dataset,
-              BytesToHuman(input_bytes).c_str(),
-              engine->graph().element_count(),
-              engine->graph().total_hyperlink_count());
+              BytesToHuman(input_bytes).c_str(), corpus.graph.element_count(),
+              corpus.graph.total_hyperlink_count());
   PrintRule(100);
   std::printf("%-12s %14s %14s %14s %14s %12s\n", "Approach", "Inv. List",
               "Index", "List file", "Entries", "List/input");
@@ -43,7 +42,7 @@ void Report(const char* dataset, core::XRankEngine* engine,
       index::IndexKind::kDil, index::IndexKind::kRdil,
       index::IndexKind::kHdil};
   for (index::IndexKind kind : kinds) {
-    const index::IndexStats& stats = engine->index_stats(kind);
+    const index::IndexStats& stats = corpus.index_stats(kind);
     bool has_index = kind == index::IndexKind::kNaiveRank ||
                      kind == index::IndexKind::kRdil ||
                      kind == index::IndexKind::kHdil;
@@ -91,9 +90,9 @@ void CodecSweep(const char* dataset, const std::string& slug,
     if (reorder) {
       options.build.reorder.algorithm = index::ReorderAlgorithm::kBp;
     }
-    auto engine = BuildEngine(Reparse(corpus), kinds, options);
+    auto indexed = BuildCorpus(Reparse(corpus), kinds, options);
     for (index::IndexKind kind : kinds) {
-      const index::IndexStats& stats = engine->index_stats(kind);
+      const index::IndexStats& stats = indexed->index_stats(kind);
       double bytes_per_posting =
           stats.entry_count > 0
               ? static_cast<double>(stats.list_used_bytes) /
@@ -156,8 +155,7 @@ int main(int argc, char** argv) {
     datagen::Corpus corpus = datagen::GenerateDblp(BenchDblpOptions());
     std::vector<xml::Document> docs = Reparse(&corpus);
     size_t input_bytes = TotalBytes(docs);
-    auto engine = BuildEngine(std::move(docs), all_kinds);
-    Report("DBLP-like", engine.get(), input_bytes);
+    Report("DBLP-like", *BuildCorpus(docs, all_kinds), input_bytes);
     CodecSweep("DBLP-like", "dblp", &corpus, all_kinds, only_codec, false,
                &json);
     if (reorder) {
@@ -169,8 +167,7 @@ int main(int argc, char** argv) {
     datagen::Corpus corpus = datagen::GenerateXMark(BenchXMarkOptions());
     std::vector<xml::Document> docs = Reparse(&corpus);
     size_t input_bytes = TotalBytes(docs);
-    auto engine = BuildEngine(std::move(docs), all_kinds);
-    Report("XMark-like", engine.get(), input_bytes);
+    Report("XMark-like", *BuildCorpus(docs, all_kinds), input_bytes);
     CodecSweep("XMark-like", "xmark", &corpus, all_kinds, only_codec, false,
                &json);
     if (reorder) {

@@ -15,6 +15,7 @@
 #include "datagen/dblp_gen.h"
 #include "datagen/workload.h"
 #include "datagen/xmark_gen.h"
+#include "harness/indexed_corpus.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 
@@ -106,6 +107,21 @@ inline std::unique_ptr<core::XRankEngine> BuildEngine(
   return std::move(engine).value();
 }
 
+// The five-kind figure rows (Naive-ID, Naive-Rank, DIL, RDIL, HDIL) run on
+// the reproduction harness: the serving engine carries DIL and HDIL only.
+inline std::unique_ptr<harness::IndexedCorpus> BuildCorpus(
+    const std::vector<xml::Document>& docs,
+    std::vector<index::IndexKind> kinds, core::EngineOptions options = {}) {
+  options.indexes = std::move(kinds);
+  auto corpus = harness::BuildIndexedCorpus(docs, options);
+  if (!corpus.ok()) {
+    std::fprintf(stderr, "FATAL: corpus build failed: %s\n",
+                 corpus.status().ToString().c_str());
+    std::abort();
+  }
+  return std::move(corpus).value();
+}
+
 struct AveragedStats {
   double io_cost = 0.0;
   double wall_ms = 0.0;
@@ -119,12 +135,12 @@ struct AveragedStats {
 
 // Runs a query set cold-cache and averages the statistics.
 inline AveragedStats RunQuerySet(
-    core::XRankEngine* engine,
+    harness::IndexedCorpus* corpus,
     const std::vector<std::vector<std::string>>& queries, size_t m,
     index::IndexKind kind) {
   AveragedStats stats;
   for (const auto& keywords : queries) {
-    auto response = engine->QueryKeywords(keywords, m, kind);
+    auto response = corpus->QueryKeywords(keywords, m, kind);
     if (!response.ok()) {
       std::fprintf(stderr, "FATAL: query failed: %s\n",
                    response.status().ToString().c_str());

@@ -1,26 +1,25 @@
 // Bibliography search over a DBLP-shaped corpus: builds all five index
-// structures, runs the same query through each, and prints results plus the
-// I/O statistics that distinguish them (paper Sections 4-5).
+// structures through the reproduction harness (the serving engine carries
+// only DIL and HDIL), runs the same query through each, and prints results
+// plus the I/O statistics that distinguish them (paper Sections 4-5).
 //
 // Usage: dblp_search [num_papers]   (default 800)
 
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/engine.h"
 #include "datagen/dblp_gen.h"
-#include "xml/parser.h"
-#include "xml/serializer.h"
+#include "harness/indexed_corpus.h"
 
 namespace {
 
 using xrank::core::EngineOptions;
-using xrank::core::XRankEngine;
+using xrank::harness::IndexedCorpus;
 using xrank::index::IndexKind;
 
-void Show(XRankEngine* engine, const std::vector<std::string>& keywords,
+void Show(IndexedCorpus* indexed, const std::vector<std::string>& keywords,
           IndexKind kind) {
-  auto response = engine->QueryKeywords(keywords, /*m=*/5, kind);
+  auto response = indexed->QueryKeywords(keywords, /*m=*/5, kind);
   if (!response.ok()) {
     std::printf("  %-10s error: %s\n",
                 std::string(xrank::index::IndexKindName(kind)).c_str(),
@@ -40,8 +39,12 @@ void Show(XRankEngine* engine, const std::vector<std::string>& keywords,
               response->stats.switched_to_dil ? " (switched to DIL)" : "");
   for (size_t i = 0; i < response->results.size() && i < 3; ++i) {
     const auto& result = response->results[i];
+    const xrank::graph::XmlGraph& graph = indexed->graph;
+    auto node = graph.FindByDewey(result.id);
+    if (!node.ok()) continue;
     std::printf("      #%zu <%s> %s rank=%.6f\n", i + 1,
-                result.element_tag.c_str(), result.document_uri.c_str(),
+                std::string(graph.name(*node)).c_str(),
+                graph.documents()[graph.node(*node).document].uri.c_str(),
                 result.rank);
   }
 }
@@ -60,17 +63,16 @@ int main(int argc, char** argv) {
   EngineOptions options;
   options.indexes = {IndexKind::kNaiveId, IndexKind::kNaiveRank,
                      IndexKind::kDil, IndexKind::kRdil, IndexKind::kHdil};
-  auto engine =
-      XRankEngine::Build(std::move(corpus.documents), options);
-  if (!engine.ok()) {
+  auto indexed = xrank::harness::BuildIndexedCorpus(corpus.documents, options);
+  if (!indexed.ok()) {
     std::fprintf(stderr, "build failed: %s\n",
-                 engine.status().ToString().c_str());
+                 indexed.status().ToString().c_str());
     return 1;
   }
   std::printf("Graph: %zu elements, %zu hyperlinks; ElemRank: %d iterations\n",
-              (*engine)->graph().element_count(),
-              (*engine)->graph().total_hyperlink_count(),
-              (*engine)->elem_rank_result().iterations);
+              (*indexed)->graph.element_count(),
+              (*indexed)->graph.total_hyperlink_count(),
+              (*indexed)->ranks.iterations);
 
   const auto& high = corpus.planted.high_correlation[0];
   const auto& low = corpus.planted.low_correlation[0];
@@ -92,7 +94,7 @@ int main(int argc, char** argv) {
     for (IndexKind kind :
          {IndexKind::kNaiveId, IndexKind::kNaiveRank, IndexKind::kDil,
           IndexKind::kRdil, IndexKind::kHdil}) {
-      Show(engine->get(), spec.keywords, kind);
+      Show(indexed->get(), spec.keywords, kind);
     }
   }
   return 0;

@@ -12,11 +12,8 @@
 #include "common/timer.h"
 #include "core/result_cache.h"
 #include "index/dil_index.h"
-#include "index/naive_index.h"
-#include "index/rdil_index.h"
 #include "query/dil_query.h"
-#include "query/naive_query.h"
-#include "query/rdil_query.h"
+#include "query/hdil_query.h"
 #include "xml/parser.h"
 
 namespace xrank::core {
@@ -227,6 +224,20 @@ dewey::DeweyId WithDocComponent(const dewey::DeweyId& id, uint32_t doc) {
   return dewey::DeweyId(std::move(components));
 }
 
+// The engine serves DIL and HDIL only; the paper's other organizations are
+// comparison baselines, built by the reproduction harness instead.
+Status CheckServedKind(index::IndexKind kind, std::string_view where) {
+  if (kind == index::IndexKind::kDil || kind == index::IndexKind::kHdil) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(
+      std::string(where) + " names index kind " +
+      std::string(index::IndexKindName(kind)) +
+      ", a paper baseline the engine does not serve (it serves DIL and "
+      "HDIL); build baselines with the reproduction harness "
+      "(harness/indexed_corpus.h, as the bench_* figure benches do)");
+}
+
 bool SeqCovered(uint64_t seq,
                 const std::vector<std::pair<uint64_t, uint64_t>>& covered) {
   for (const auto& [first, last] : covered) {
@@ -371,18 +382,16 @@ Status XRankEngine::PrepareBase(
 Result<std::unique_ptr<XRankEngine>> XRankEngine::Build(
     std::vector<xml::Document> documents,
     std::vector<xml::Document> html_documents, const EngineOptions& options) {
+  for (index::IndexKind kind : options.indexes) {
+    XRANK_RETURN_NOT_OK(CheckServedKind(kind, "EngineOptions::indexes"));
+  }
   auto engine = std::unique_ptr<XRankEngine>(new XRankEngine());
   engine->options_ = options;
   XRANK_RETURN_NOT_OK(engine->PrepareBase(documents, html_documents));
 
   // 3. Posting extraction (shared by every physical index).
-  bool need_naive = false;
-  for (index::IndexKind kind : options.indexes) {
-    need_naive = need_naive || kind == index::IndexKind::kNaiveId ||
-                 kind == index::IndexKind::kNaiveRank;
-  }
   index::ExtractionOptions extraction = options.extraction;
-  extraction.build_naive = need_naive;
+  extraction.build_naive = false;
   XRANK_ASSIGN_OR_RETURN(
       index::ExtractionResult extracted,
       index::ExtractPostings(engine->graph_, engine->elem_ranks_, extraction));
@@ -402,7 +411,6 @@ Result<std::unique_ptr<XRankEngine>> XRankEngine::Build(
   // 4. Physical index construction (Section 4), into temp files when
   // disk-backed.
   auto base = std::make_shared<BaseState>();
-  base->ordinal_to_dewey = std::move(extracted.ordinal_to_dewey);
   for (index::IndexKind kind : options.indexes) {
     XRANK_ASSIGN_OR_RETURN(IndexInstance instance,
                            engine->BuildInstance(kind, extracted));
@@ -473,20 +481,22 @@ Result<std::unique_ptr<XRankEngine>> XRankEngine::Open(
   if (options.disk_dir.empty()) {
     return Status::InvalidArgument("Open requires a disk_dir");
   }
-  auto engine = std::unique_ptr<XRankEngine>(new XRankEngine());
-  engine->options_ = options;
-  XRANK_RETURN_NOT_OK(engine->PrepareBase(documents, {}));
-
   XRANK_ASSIGN_OR_RETURN(index::Manifest manifest,
                          index::ReadManifestFile(options.disk_dir));
   if (manifest.entries.empty()) {
     return Status::Corruption("MANIFEST in '" + options.disk_dir +
                               "' lists no index files");
   }
+  for (const index::ManifestEntry& entry : manifest.entries) {
+    XRANK_RETURN_NOT_OK(CheckServedKind(
+        entry.kind, "MANIFEST in '" + options.disk_dir + "'"));
+  }
+  auto engine = std::unique_ptr<XRankEngine>(new XRankEngine());
+  engine->options_ = options;
+  XRANK_RETURN_NOT_OK(engine->PrepareBase(documents, {}));
   engine->manifest_ = manifest;
 
   auto base = std::make_shared<BaseState>();
-  bool need_naive = false;
   engine->options_.indexes.clear();
   for (const index::ManifestEntry& entry : manifest.entries) {
     if (options.verify_on_open) {
@@ -530,8 +540,6 @@ Result<std::unique_ptr<XRankEngine>> XRankEngine::Open(
     instance.pool = std::make_unique<storage::BufferPool>(
         instance.built.file.get(), options.buffer_pool_pages,
         instance.cost_model.get(), options.buffer_pool_shards);
-    need_naive = need_naive || entry.kind == index::IndexKind::kNaiveId ||
-                 entry.kind == index::IndexKind::kNaiveRank;
     engine->options_.indexes.push_back(entry.kind);
     base->indexes.emplace(entry.kind, std::move(instance));
   }
@@ -559,25 +567,18 @@ Result<std::unique_ptr<XRankEngine>> XRankEngine::Open(
   }
   engine->options_.build.format.reorder_id = reorder_id;
 
-  // Naive result IDs are element ordinals; re-derive the ordinal map from
-  // the graph (it is not persisted). A reordered engine additionally
-  // recomputes its document permutation from the identity-order extraction.
-  if (need_naive || reorder_id != index::kReorderIdentity) {
+  // A reordered engine recomputes its document permutation from the
+  // identity-order extraction (the permutation is not persisted).
+  if (reorder_id != index::kReorderIdentity) {
     index::ExtractionOptions extraction = engine->options_.extraction;
-    extraction.build_naive = need_naive;
+    extraction.build_naive = false;
     XRANK_ASSIGN_OR_RETURN(
         index::ExtractionResult extracted,
         index::ExtractPostings(engine->graph_, engine->elem_ranks_,
                                extraction));
-    if (reorder_id != index::kReorderIdentity) {
-      engine->doc_perm_ = index::ComputeReorderPermutation(
-          extracted.dewey_postings, engine->base_doc_count_,
-          engine->options_.build.reorder);
-      index::ApplyDocPermutation(engine->doc_perm_, &extracted);
-    }
-    if (need_naive) {
-      base->ordinal_to_dewey = std::move(extracted.ordinal_to_dewey);
-    }
+    engine->doc_perm_ = index::ComputeReorderPermutation(
+        extracted.dewey_postings, engine->base_doc_count_,
+        engine->options_.build.reorder);
   }
 
   auto state = std::make_shared<LiveState>();
@@ -959,57 +960,14 @@ Status XRankEngine::FlushLocked() {
     // In-memory engines: the delta already is a self-contained segment.
     flushed = state->delta;
   } else {
-    const index::LiveSegment& delta = *state->delta;
-    const std::string& dir = options_.disk_dir;
-    const std::string name = SegmentBaseName(delta.first_seq, delta.last_seq);
-    const std::string index_tmp = dir + "/" + name + ".xrank.tmp";
-    const std::string docs_tmp = dir + "/" + name + ".docs.tmp";
-    const std::string index_final = dir + "/" + name + ".xrank";
-    const std::string docs_final = dir + "/" + name + ".docs";
-
     // Rebuild the delta's index into an on-disk page file (same sources,
-    // same per-document ranks — bitwise the same postings).
-    XRANK_ASSIGN_OR_RETURN(std::unique_ptr<storage::PageFile> file,
-                           storage::PageFile::CreateOnDisk(index_tmp));
+    // same per-document ranks — bitwise the same postings). Crash window
+    // before the rename: temp files only — reopen replays the WAL.
+    index::SegmentManifestEntry entry;
     XRANK_ASSIGN_OR_RETURN(
         std::shared_ptr<index::LiveSegment> segment,
-        index::BuildLiveSegment(delta.sources, delta.doc_base,
-                                SegmentOptions(), std::move(file)));
-    {
-      XRANK_ASSIGN_OR_RETURN(std::unique_ptr<storage::LogWriter> docs,
-                             storage::LogWriter::Open(docs_tmp,
-                                                      /*truncate=*/true));
-      for (const storage::LogRecord& record : segment->sources) {
-        XRANK_RETURN_NOT_OK(docs->Append(record));
-      }
-      XRANK_RETURN_NOT_OK(docs->Sync());
-    }
-    XRANK_RETURN_NOT_OK(segment->built.file->Sync());
-    // Crash window: temp files only — reopen replays the WAL, nothing lost.
-    if (auto hit = failpoints.Evaluate("segment_flush.before_rename")) {
-      fail::DieIfCrashRequested(hit);
-      return Status::IOError(
-          "injected crash before segment rename: temp files written, "
-          "nothing committed");
-    }
-    XRANK_RETURN_NOT_OK(index::RenameFile(index_tmp, index_final));
-    XRANK_RETURN_NOT_OK(index::RenameFile(docs_tmp, docs_final));
-
-    index::SegmentManifestEntry entry;
-    entry.index.file = name + ".xrank";
-    entry.index.kind = index::IndexKind::kDil;
-    entry.index.page_count = segment->built.file->page_count();
-    entry.index.format = segment->built.lexicon.format_spec();
-    XRANK_ASSIGN_OR_RETURN(entry.index.crc,
-                           index::ChecksumPageFile(*segment->built.file));
-    entry.docs_file = name + ".docs";
-    XRANK_ASSIGN_OR_RETURN(auto docs_sum, storage::ChecksumFile(docs_final));
-    entry.docs_bytes = docs_sum.first;
-    entry.docs_crc = docs_sum.second;
-    entry.doc_base = segment->doc_base;
-    entry.doc_count = segment->doc_count();
-    entry.first_seq = segment->first_seq;
-    entry.last_seq = segment->last_seq;
+        WriteSegmentLocked(state->delta->sources, state->delta->doc_base,
+                           "segment_flush", &entry));
 
     // Crash window: files renamed but no MANIFEST — reopen ignores the
     // stray files, replays the WAL, and the next flush re-renames over
@@ -1022,7 +980,8 @@ Status XRankEngine::FlushLocked() {
     }
     index::Manifest next_manifest = manifest_;
     next_manifest.segments.push_back(std::move(entry));
-    XRANK_RETURN_NOT_OK(index::WriteManifestFile(dir, next_manifest));
+    XRANK_RETURN_NOT_OK(
+        index::WriteManifestFile(options_.disk_dir, next_manifest));
     manifest_ = std::move(next_manifest);
 
     // Crash window: segment committed, WAL still holds the covered adds —
@@ -1047,6 +1006,59 @@ Status XRankEngine::FlushLocked() {
   metrics.flushes->Increment();
   backpressure_cv_.notify_all();
   return wal_status;
+}
+
+Result<std::shared_ptr<index::LiveSegment>> XRankEngine::WriteSegmentLocked(
+    std::vector<storage::LogRecord> sources, uint32_t doc_base,
+    std::string_view failpoint_scope, index::SegmentManifestEntry* entry) {
+  const std::string& dir = options_.disk_dir;
+  const std::string name =
+      SegmentBaseName(sources.front().seq, sources.back().seq);
+  const std::string index_tmp = dir + "/" + name + ".xrank.tmp";
+  const std::string docs_tmp = dir + "/" + name + ".docs.tmp";
+  XRANK_ASSIGN_OR_RETURN(std::unique_ptr<storage::PageFile> file,
+                         storage::PageFile::CreateOnDisk(index_tmp));
+  XRANK_ASSIGN_OR_RETURN(
+      std::shared_ptr<index::LiveSegment> segment,
+      index::BuildLiveSegment(std::move(sources), doc_base, SegmentOptions(),
+                              std::move(file)));
+  {
+    XRANK_ASSIGN_OR_RETURN(std::unique_ptr<storage::LogWriter> docs,
+                           storage::LogWriter::Open(docs_tmp,
+                                                    /*truncate=*/true));
+    for (const storage::LogRecord& record : segment->sources) {
+      XRANK_RETURN_NOT_OK(docs->Append(record));
+    }
+    XRANK_RETURN_NOT_OK(docs->Sync());
+  }
+  XRANK_RETURN_NOT_OK(segment->built.file->Sync());
+  const std::string failpoint = std::string(failpoint_scope) + ".before_rename";
+  if (auto hit = fail::FailPoints::Instance().Evaluate(failpoint)) {
+    fail::DieIfCrashRequested(hit);
+    return Status::IOError("injected crash at " + failpoint +
+                           ": segment temp files written, nothing renamed");
+  }
+  entry->index.file = name + ".xrank";
+  entry->docs_file = name + ".docs";
+  XRANK_RETURN_NOT_OK(
+      index::RenameFile(index_tmp, dir + "/" + entry->index.file));
+  XRANK_RETURN_NOT_OK(
+      index::RenameFile(docs_tmp, dir + "/" + entry->docs_file));
+
+  entry->index.kind = index::IndexKind::kDil;
+  entry->index.page_count = segment->built.file->page_count();
+  entry->index.format = segment->built.lexicon.format_spec();
+  XRANK_ASSIGN_OR_RETURN(entry->index.crc,
+                         index::ChecksumPageFile(*segment->built.file));
+  XRANK_ASSIGN_OR_RETURN(auto docs_sum,
+                         storage::ChecksumFile(dir + "/" + entry->docs_file));
+  entry->docs_bytes = docs_sum.first;
+  entry->docs_crc = docs_sum.second;
+  entry->doc_base = segment->doc_base;
+  entry->doc_count = segment->doc_count();
+  entry->first_seq = segment->first_seq;
+  entry->last_seq = segment->last_seq;
+  return segment;
 }
 
 Status XRankEngine::CompactSegments() {
@@ -1079,72 +1091,21 @@ Status XRankEngine::CompactSegmentsLocked() {
   const uint32_t doc_base = base_doc_count_;
   std::shared_ptr<const index::LiveSegment> compacted;
   index::SegmentManifestEntry entry;
-  std::string new_index_name;
-  std::string new_docs_name;
 
-  if (!merged.empty()) {
-    if (options_.disk_dir.empty()) {
-      XRANK_ASSIGN_OR_RETURN(
-          std::shared_ptr<index::LiveSegment> segment,
-          index::BuildLiveSegment(std::move(merged), doc_base,
-                                  SegmentOptions(),
-                                  storage::PageFile::CreateInMemory()));
-      compacted = std::move(segment);
-    } else {
-      const std::string& dir = options_.disk_dir;
-      const std::string name = SegmentBaseName(merged.front().seq,
-                                               merged.back().seq);
-      const std::string index_tmp = dir + "/" + name + ".xrank.tmp";
-      const std::string docs_tmp = dir + "/" + name + ".docs.tmp";
-      new_index_name = name + ".xrank";
-      new_docs_name = name + ".docs";
-      XRANK_ASSIGN_OR_RETURN(std::unique_ptr<storage::PageFile> file,
-                             storage::PageFile::CreateOnDisk(index_tmp));
-      XRANK_ASSIGN_OR_RETURN(
-          std::shared_ptr<index::LiveSegment> segment,
-          index::BuildLiveSegment(std::move(merged), doc_base,
-                                  SegmentOptions(), std::move(file)));
-      {
-        XRANK_ASSIGN_OR_RETURN(std::unique_ptr<storage::LogWriter> docs,
-                               storage::LogWriter::Open(docs_tmp,
-                                                        /*truncate=*/true));
-        for (const storage::LogRecord& record : segment->sources) {
-          XRANK_RETURN_NOT_OK(docs->Append(record));
-        }
-        XRANK_RETURN_NOT_OK(docs->Sync());
-      }
-      XRANK_RETURN_NOT_OK(segment->built.file->Sync());
-      // Crash window: temp files only; the committed segments still serve.
-      if (auto hit = failpoints.Evaluate("segment_compact.before_rename")) {
-        fail::DieIfCrashRequested(hit);
-        return Status::IOError(
-            "injected crash before compaction rename: temp files written, "
-            "old segments still committed");
-      }
-      // The merged name can collide with a retired segment's (compacting a
-      // single segment in place); rename replaces it atomically and the
-      // already-open old page file stays readable until the swap.
-      XRANK_RETURN_NOT_OK(
-          index::RenameFile(index_tmp, dir + "/" + new_index_name));
-      XRANK_RETURN_NOT_OK(
-          index::RenameFile(docs_tmp, dir + "/" + new_docs_name));
-      entry.index.file = new_index_name;
-      entry.index.kind = index::IndexKind::kDil;
-      entry.index.page_count = segment->built.file->page_count();
-      entry.index.format = segment->built.lexicon.format_spec();
-      XRANK_ASSIGN_OR_RETURN(entry.index.crc,
-                             index::ChecksumPageFile(*segment->built.file));
-      entry.docs_file = new_docs_name;
-      XRANK_ASSIGN_OR_RETURN(auto docs_sum,
-                             storage::ChecksumFile(dir + "/" + new_docs_name));
-      entry.docs_bytes = docs_sum.first;
-      entry.docs_crc = docs_sum.second;
-      entry.doc_base = segment->doc_base;
-      entry.doc_count = segment->doc_count();
-      entry.first_seq = segment->first_seq;
-      entry.last_seq = segment->last_seq;
-      compacted = std::move(segment);
-    }
+  if (!merged.empty() && options_.disk_dir.empty()) {
+    XRANK_ASSIGN_OR_RETURN(
+        compacted,
+        index::BuildLiveSegment(std::move(merged), doc_base, SegmentOptions(),
+                                storage::PageFile::CreateInMemory()));
+  } else if (!merged.empty()) {
+    // Crash window before the rename: temp files only; the committed
+    // segments still serve. The merged name can collide with a retired
+    // segment's (compacting a single segment in place); the rename
+    // replaces it atomically and the already-open old page file stays
+    // readable until the swap.
+    XRANK_ASSIGN_OR_RETURN(compacted,
+                           WriteSegmentLocked(std::move(merged), doc_base,
+                                              "segment_compact", &entry));
   }
 
   Status wal_status;
@@ -1169,11 +1130,11 @@ Status XRankEngine::CompactSegmentsLocked() {
     manifest_ = std::move(next_manifest);
     // Retired segment files: best-effort unlink after the commit point.
     for (const index::SegmentManifestEntry& old_entry : retired_entries) {
-      if (old_entry.index.file != new_index_name) {
+      if (old_entry.index.file != entry.index.file) {
         std::remove(
             (options_.disk_dir + "/" + old_entry.index.file).c_str());
       }
-      if (old_entry.docs_file != new_docs_name) {
+      if (old_entry.docs_file != entry.docs_file) {
         std::remove((options_.disk_dir + "/" + old_entry.docs_file).c_str());
       }
     }
@@ -1255,13 +1216,8 @@ Status XRankEngine::CompactDeletionsLocked() {
   if (excluded.empty()) return Status::OK();
   auto& failpoints = fail::FailPoints::Instance();
 
-  bool need_naive = false;
-  for (const auto& [kind, instance] : state->base->indexes) {
-    need_naive = need_naive || kind == index::IndexKind::kNaiveId ||
-                 kind == index::IndexKind::kNaiveRank;
-  }
   index::ExtractionOptions extraction = options_.extraction;
-  extraction.build_naive = need_naive;
+  extraction.build_naive = false;
   extraction.exclude_documents = std::move(excluded);
   XRANK_ASSIGN_OR_RETURN(
       index::ExtractionResult extracted,
@@ -1274,7 +1230,6 @@ Status XRankEngine::CompactDeletionsLocked() {
   // Rebuild off to the side; the serving snapshot is untouched until the
   // publish below, so a crash or failure here loses nothing.
   auto base = std::make_shared<BaseState>();
-  base->ordinal_to_dewey = std::move(extracted.ordinal_to_dewey);
   for (const auto& [kind, instance] : state->base->indexes) {
     // Crash window (one evaluation per index kind): a kill between per-kind
     // rebuilds leaves temp files only — the committed index still serves.
@@ -1373,42 +1328,17 @@ Result<XRankEngine::IndexInstance> XRankEngine::BuildInstance(
     index::IndexKind kind, const index::ExtractionResult& extracted) {
   XRANK_ASSIGN_OR_RETURN(std::unique_ptr<storage::PageFile> file,
                          MakePageFile(options_, kind));
-  index::BuiltIndex built;
-  switch (kind) {
-    case index::IndexKind::kDil: {
-      XRANK_ASSIGN_OR_RETURN(
-          built, index::BuildDilIndex(extracted.dewey_postings,
-                                      std::move(file), options_.build));
-      break;
-    }
-    case index::IndexKind::kRdil: {
-      XRANK_ASSIGN_OR_RETURN(
-          built, index::BuildRdilIndex(extracted.dewey_postings,
-                                       std::move(file), options_.build));
-      break;
-    }
-    case index::IndexKind::kHdil: {
-      XRANK_ASSIGN_OR_RETURN(
-          built, index::BuildHdilIndex(extracted.dewey_postings,
-                                       std::move(file), options_.hdil,
-                                       options_.build));
-      break;
-    }
-    case index::IndexKind::kNaiveId: {
-      XRANK_ASSIGN_OR_RETURN(
-          built, index::BuildNaiveIdIndex(extracted.naive_postings,
-                                          std::move(file), options_.build));
-      break;
-    }
-    case index::IndexKind::kNaiveRank: {
-      XRANK_ASSIGN_OR_RETURN(
-          built, index::BuildNaiveRankIndex(extracted.naive_postings,
-                                            std::move(file), options_.build));
-      break;
-    }
-  }
   IndexInstance instance;
-  instance.built = std::move(built);
+  if (kind == index::IndexKind::kHdil) {
+    XRANK_ASSIGN_OR_RETURN(
+        instance.built,
+        index::BuildHdilIndex(extracted.dewey_postings, std::move(file),
+                              options_.hdil, options_.build));
+  } else {
+    XRANK_ASSIGN_OR_RETURN(
+        instance.built, index::BuildDilIndex(extracted.dewey_postings,
+                                             std::move(file), options_.build));
+  }
   instance.cost_model = std::make_unique<storage::CostModel>(options_.cost);
   instance.pool = std::make_unique<storage::BufferPool>(
       instance.built.file.get(), options_.buffer_pool_pages,
@@ -1555,7 +1485,9 @@ Result<EngineResponse> XRankEngine::Decorate(const LiveState& state,
     result.rank = raw.rank;
     result.element_tag = std::string(graph.name(node));
     result.document_uri = graph.documents()[graph.node(node).document].uri;
-    std::string text = graph.DeepText(node);
+    // The walk stops after 121 bytes: enough to tell whether the snippet
+    // needs truncating.
+    std::string text = graph.DeepText(node, 121);
     if (text.size() > 120) {
       text.resize(117);
       text += "...";
@@ -1674,38 +1606,15 @@ Result<EngineResponse> XRankEngine::QueryKeywordsSnapshot(
   size_t fetch_m = plain ? m : m * 2 + 64;
 
   const index::Lexicon* lexicon = &instance.built.lexicon;
-  auto run = [&]() -> Result<query::QueryResponse> {
-    switch (kind) {
-      case index::IndexKind::kDil: {
-        query::DilQueryProcessor processor(pool, lexicon, options_.scoring,
-                                           /*use_skip_blocks=*/true,
-                                           block_cache_.get());
-        return processor.Execute(normalized, fetch_m, exec_options);
-      }
-      case index::IndexKind::kRdil: {
-        query::RdilQueryProcessor processor(pool, lexicon, options_.scoring);
-        return processor.Execute(normalized, fetch_m, exec_options);
-      }
-      case index::IndexKind::kHdil: {
-        query::HdilQueryProcessor processor(pool, lexicon, options_.scoring,
-                                            options_.hdil_strategy,
-                                            block_cache_.get());
-        return processor.Execute(normalized, fetch_m, exec_options);
-      }
-      case index::IndexKind::kNaiveId: {
-        query::NaiveIdQueryProcessor processor(pool, lexicon,
-                                               options_.scoring);
-        return processor.Execute(normalized, fetch_m, exec_options);
-      }
-      case index::IndexKind::kNaiveRank: {
-        query::NaiveRankQueryProcessor processor(pool, lexicon,
-                                                 options_.scoring);
-        return processor.Execute(normalized, fetch_m, exec_options);
-      }
-    }
-    return Status::Internal("unreachable index kind");
-  };
-  Result<query::QueryResponse> executed = run();
+  Result<query::QueryResponse> executed =
+      kind == index::IndexKind::kHdil
+          ? query::HdilQueryProcessor(pool, lexicon, options_.scoring,
+                                      block_cache_.get())
+                .Execute(normalized, fetch_m, exec_options)
+          : query::DilQueryProcessor(pool, lexicon, options_.scoring,
+                                     /*use_skip_blocks=*/true,
+                                     block_cache_.get())
+                .Execute(normalized, fetch_m, exec_options);
   if (!executed.ok()) {
     metrics.queries->Increment();
     metrics.errors->Increment();
@@ -1721,24 +1630,12 @@ Result<EngineResponse> XRankEngine::QueryKeywordsSnapshot(
   // Merge the base results with every live segment's (each segment is a
   // self-contained DIL index; its ranks are regrouping-invariant, so one
   // global rank-descending sort is a correct merged ordering).
-  const bool naive = kind == index::IndexKind::kNaiveId ||
-                     kind == index::IndexKind::kNaiveRank;
-  const std::vector<dewey::DeweyId>& ordinal_to_dewey =
-      state->base->ordinal_to_dewey;
   std::vector<RawHit> hits;
   hits.reserve(response.results.size());
   for (query::RankedResult& raw : response.results) {
     RawHit hit;
     hit.rank = raw.rank;
-    if (naive) {
-      uint32_t ordinal = raw.id.component(0);
-      if (ordinal >= ordinal_to_dewey.size()) {
-        return Status::Internal("naive ordinal out of range");
-      }
-      hit.local_id = ordinal_to_dewey[ordinal];
-    } else {
-      hit.local_id = std::move(raw.id);
-    }
+    hit.local_id = std::move(raw.id);
     // Base indexes store PHYSICAL doc ids; the graph stays in identity
     // order, so graph-facing local_id remaps the document component back.
     hit.global_id = hit.local_id;

@@ -22,7 +22,6 @@
 #include "index/hdil_index.h"
 #include "index/index_builder.h"
 #include "index/manifest.h"
-#include "query/hdil_query.h"
 #include "query/query.h"
 #include "rank/elem_rank.h"
 #include "storage/buffer_pool.h"
@@ -52,10 +51,11 @@ struct EngineOptions {
   index::ExtractionOptions extraction;
   index::HdilOptions hdil;
   query::ScoringOptions scoring;
-  query::HdilStrategyOptions hdil_strategy;
 
-  // Which physical indexes to build. HDIL is the paper's recommended
-  // structure and the engine default.
+  // Which physical indexes to build: kDil and/or kHdil. HDIL is the
+  // paper's recommended structure and the engine default. The paper's
+  // comparison baselines (Naive-ID, Naive-Rank, RDIL) are refused — the
+  // reproduction harness (harness/indexed_corpus.h) builds those.
   std::vector<index::IndexKind> indexes = {index::IndexKind::kHdil};
 
   // Worker threads for index construction (list encoding is sharded by
@@ -175,7 +175,8 @@ class XRankEngine {
 
   // Ingests XML documents (consumed), computes ElemRanks and builds the
   // configured indexes. `html_documents` are ingested in the paper's HTML
-  // mode (whole document = one element).
+  // mode (whole document = one element). InvalidArgument when
+  // `options.indexes` names a kind other than DIL or HDIL.
   static Result<std::unique_ptr<XRankEngine>> Build(
       std::vector<xml::Document> documents, const EngineOptions& options);
   static Result<std::unique_ptr<XRankEngine>> Build(
@@ -192,7 +193,8 @@ class XRankEngine {
   // a committed segment already covers are skipped), so documents added
   // before a crash are served again. A directory with no MANIFEST (crash
   // before the commit point), a torn MANIFEST, or files whose length/
-  // checksum disagree with it is refused with a precise error.
+  // checksum disagree with it is refused with a precise error; a MANIFEST
+  // listing a kind other than DIL or HDIL is refused with InvalidArgument.
   static Result<std::unique_ptr<XRankEngine>> Open(
       std::vector<xml::Document> documents, const EngineOptions& options);
 
@@ -354,13 +356,10 @@ class XRankEngine {
     std::unique_ptr<storage::BufferPool> pool;
   };
 
-  // The base corpus's physical indexes plus the naive-ordinal mapping that
-  // decodes their results. Immutable once published; CompactDeletions
-  // publishes a replacement.
+  // The base corpus's physical indexes. Immutable once published;
+  // CompactDeletions publishes a replacement.
   struct BaseState {
     std::map<index::IndexKind, IndexInstance> indexes;
-    // Maps naive element ordinals back to Dewey IDs.
-    std::vector<dewey::DeweyId> ordinal_to_dewey;
   };
 
   // One immutable snapshot of everything a query reads. Queries copy the
@@ -432,6 +431,14 @@ class XRankEngine {
       const std::vector<std::pair<uint64_t, uint64_t>>& covered);
   Status FlushLocked();
   Status CompactSegmentsLocked();
+  // Writes `sources` as a flushed segment at `doc_base` under the segment
+  // name of their seq range: builds its DIL index into a `.tmp` page file,
+  // writes and fsyncs the `.docs` source log beside it, fires
+  // `<failpoint_scope>.before_rename`, then renames both to their final
+  // names. Fills `entry` (CRCs included) for the caller's MANIFEST commit.
+  Result<std::shared_ptr<index::LiveSegment>> WriteSegmentLocked(
+      std::vector<storage::LogRecord> sources, uint32_t doc_base,
+      std::string_view failpoint_scope, index::SegmentManifestEntry* entry);
   Status CompactDeletionsLocked();
   // Resolves a URI against `state` (delta first, then segments newest-
   // first, then the base corpus), skipping tombstoned docs. Returns the

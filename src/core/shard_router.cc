@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -538,7 +539,7 @@ Result<EngineResponse> ShardRouter::Scatter(
     bool ran = false;      // the shard returned a response
     bool skipped = false;  // never started: the budget was already spent
     EngineResponse response;
-    query::QueryTrace trace;
+    std::optional<query::QueryTrace> trace;
   };
   std::vector<Outcome> outcomes(n);
 
@@ -546,8 +547,10 @@ Result<EngineResponse> ShardRouter::Scatter(
     Outcome& out = outcomes[i];
     query::QueryOptions shard_options = query_options;
     // A QueryTrace is single-threaded; every shard records its own and the
-    // gather splices them into the caller's afterwards.
-    shard_options.trace = tracing ? &out.trace : nullptr;
+    // gather splices them into the caller's afterwards. Each is created
+    // when its shard starts, so its spliced span opens there.
+    if (tracing) out.trace.emplace();
+    shard_options.trace = tracing ? &*out.trace : nullptr;
     shard_options.shared_threshold =
         options_.forward_theta ? &shared : nullptr;
     if (query_options.deadline_ms > 0) {
@@ -685,9 +688,11 @@ Result<EngineResponse> ShardRouter::Scatter(
   }
   if (tracing) {
     for (size_t i = 0; i < n; ++i) {
-      if (outcomes[i].ran || !outcomes[i].trace.spans().empty()) {
+      const std::optional<query::QueryTrace>& trace = outcomes[i].trace;
+      if (trace.has_value() &&
+          (outcomes[i].ran || !trace->spans().empty())) {
         query_options.trace->MergeChild("shard[" + std::to_string(i) + "]",
-                                        outcomes[i].trace);
+                                        *trace);
       }
     }
     query_options.trace->AddAnnotation("shards", std::to_string(n));

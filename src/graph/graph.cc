@@ -1,5 +1,6 @@
 #include "graph/graph.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "common/check.h"
@@ -42,19 +43,25 @@ std::string XmlGraph::DirectText(NodeId id) const {
   return out;
 }
 
-std::string XmlGraph::DeepText(NodeId id) const {
+std::string XmlGraph::DeepText(NodeId id, size_t max_bytes) const {
   const NodeData& data = nodes_[id];
-  if (data.kind == Kind::kValue) return data.text;
+  if (data.kind == Kind::kValue) return data.text.substr(0, max_bytes);
   // Interleave is lost in the graph form (values and elements are kept in
   // separate child vectors); emit values first, then element subtrees. The
   // indexer does not rely on this function for positions.
   std::string out = DirectText(id);
   for (NodeId child : data.element_children) {
-    std::string piece = DeepText(child);
+    if (out.size() >= max_bytes) break;
+    // A child's prefix long enough to fill the budget; at least one byte,
+    // so an empty subtree (which adds no separator) is told apart.
+    const size_t separator = out.empty() ? 0 : 1;
+    std::string piece = DeepText(
+        child, std::max<size_t>(1, max_bytes - out.size() - separator));
     if (piece.empty()) continue;
     if (!out.empty()) out.push_back(' ');
     out += piece;
   }
+  if (out.size() > max_bytes) out.resize(max_bytes);
   return out;
 }
 

@@ -82,8 +82,11 @@ class XmlGraph {
   // Concatenated text of all value children of `id` (its direct text).
   std::string DirectText(NodeId id) const;
 
-  // Concatenated text of the whole subtree under `id`, document order.
-  std::string DeepText(NodeId id) const;
+  // Concatenated text of the whole subtree under `id`, document order —
+  // or its first `max_bytes` bytes: the walk stops once that many are
+  // gathered, so a short prefix of a huge subtree stays cheap.
+  std::string DeepText(NodeId id,
+                       size_t max_bytes = std::string::npos) const;
 
   // --- mutation interface used by GraphBuilder ---
   uint32_t InternName(std::string_view tag);

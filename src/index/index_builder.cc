@@ -1,6 +1,7 @@
 #include "index/index_builder.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstring>
 #include <thread>
@@ -26,6 +27,21 @@ std::string_view IndexKindName(IndexKind kind) {
       return "HDIL";
   }
   return "Unknown";
+}
+
+std::optional<IndexKind> IndexKindFromName(std::string_view name) {
+  for (IndexKind kind : {IndexKind::kNaiveId, IndexKind::kNaiveRank,
+                         IndexKind::kDil, IndexKind::kRdil, IndexKind::kHdil}) {
+    std::string_view canonical = IndexKindName(kind);
+    if (std::equal(name.begin(), name.end(), canonical.begin(),
+                   canonical.end(), [](char a, char b) {
+                     return std::tolower(static_cast<unsigned char>(a)) ==
+                            std::tolower(static_cast<unsigned char>(b));
+                   })) {
+      return kind;
+    }
+  }
+  return std::nullopt;
 }
 
 size_t ResolveBuildThreads(int num_threads) {

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,8 @@ enum class IndexKind : uint8_t {
 };
 
 std::string_view IndexKindName(IndexKind kind);
+// Inverse of IndexKindName, ignoring case ("hdil", "naive-id", ...).
+std::optional<IndexKind> IndexKindFromName(std::string_view name);
 
 // What the per-posting rank field carries. The paper's query processing is
 // "applicable to other ways of ranking XML elements, such as those using

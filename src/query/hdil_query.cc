@@ -16,6 +16,12 @@ namespace xrank::query {
 
 namespace {
 
+// The adaptive RDIL→DIL switch of paper Section 4.4.2 is re-evaluated every
+// this many threshold rounds (scaled by the keyword count). The first check
+// must come late enough that one-off startup costs (first B+-tree levels,
+// first list pages) do not pollute the per-result estimate.
+constexpr uint64_t kCheckInterval = 16;
+
 struct CostSnapshot {
   uint64_t sequential = 0;
   uint64_t random = 0;
@@ -109,12 +115,10 @@ Status HdilScanPrefix(
 HdilQueryProcessor::HdilQueryProcessor(storage::BufferPool* pool,
                                        const index::Lexicon* lexicon,
                                        const ScoringOptions& scoring,
-                                       const HdilStrategyOptions& strategy,
                                        index::BlockCache* block_cache)
     : pool_(pool),
       lexicon_(lexicon),
       scoring_(scoring),
-      strategy_(strategy),
       block_cache_(block_cache) {}
 
 Result<QueryResponse> HdilQueryProcessor::ExecuteDil(
@@ -284,8 +288,10 @@ Result<QueryResponse> HdilQueryProcessor::Execute(
     // (m - r) * t / r and compare against DIL's predictable full-scan cost.
     // Rounds are split round-robin over n lists, so the interval between
     // checks scales with n to see the same per-list progress.
-    uint64_t interval =
-        std::max<uint64_t>(8, strategy_.check_interval * n / 2);
+    // The time t is measured in deterministic cost-model units, the same
+    // units DIL's budget is predicted in (the paper's implementation used
+    // wall-clock time).
+    uint64_t interval = std::max<uint64_t>(8, kCheckInterval * n / 2);
     if (bounded && response.stats.rounds % interval == 0) {
       double r = static_cast<double>(accumulator.CountAtLeast(threshold));
       if (r == 0.0) {
@@ -293,26 +299,10 @@ Result<QueryResponse> HdilQueryProcessor::Execute(
         // the threshold after a full check interval, the signature of
         // uncorrelated keywords — switch immediately.
         switch_to_dil = true;
-      } else if (r >= static_cast<double>(
-                          strategy_.min_results_for_estimate)) {
-        double t;
-        double dil_budget;
-        if (strategy_.use_cost_model && model != nullptr) {
-          t = model->TotalCost() - before.cost;
-          dil_budget = dil_cost_estimate;  // cost-model units
-        } else {
-          // Wall-clock mode (the paper's implementation): budget DIL at a
-          // fixed per-page sequential-scan time.
-          constexpr double kSequentialPageMs = 0.02;
-          t = timer.ElapsedSeconds() * 1e3;
-          double total_pages = 0.0;
-          for (size_t j = 0; j < n; ++j) {
-            total_pages += infos[j]->list.page_count;
-          }
-          dil_budget = kSequentialPageMs * total_pages;
-        }
+      } else if (model != nullptr) {
+        double t = model->TotalCost() - before.cost;
         double estimate = (static_cast<double>(m) - r) * t / r;
-        if (estimate > dil_budget) switch_to_dil = true;
+        if (estimate > dil_cost_estimate) switch_to_dil = true;
       }
     }
   }

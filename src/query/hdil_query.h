@@ -13,22 +13,6 @@
 
 namespace xrank::query {
 
-// Controls the adaptive RDIL→DIL switch-over of paper Section 4.4.2.
-struct HdilStrategyOptions {
-  // Re-evaluate the switch decision every this many threshold rounds. The
-  // first check must come late enough that one-off startup costs (first
-  // B+-tree levels, first list pages) do not pollute the per-result
-  // estimate; r = 0 at a check point means the keywords are uncorrelated
-  // and triggers an immediate switch (the estimator diverges).
-  uint64_t check_interval = 16;
-  // Do not estimate before this many results are above the threshold
-  // ((m-r)*t/r needs r > 0; the paper's estimator).
-  uint64_t min_results_for_estimate = 1;
-  // When true the decision uses the deterministic I/O cost model; when
-  // false it uses wall-clock time like the paper's implementation.
-  bool use_cost_model = true;
-};
-
 // HDIL evaluation (paper Section 4.4): starts in RDIL mode over the small
 // rank-ordered prefix lists, probing the sparse B+-trees whose leaf level is
 // the full Dewey-ordered list; monitors progress and switches to a full DIL
@@ -43,7 +27,6 @@ class HdilQueryProcessor {
   HdilQueryProcessor(storage::BufferPool* pool,
                      const index::Lexicon* lexicon,
                      const ScoringOptions& scoring,
-                     const HdilStrategyOptions& strategy = {},
                      index::BlockCache* block_cache = nullptr);
 
   // `options` bounds the whole evaluation: one deadline covers both the
@@ -59,7 +42,6 @@ class HdilQueryProcessor {
   storage::BufferPool* pool_;
   const index::Lexicon* lexicon_;
   ScoringOptions scoring_;
-  HdilStrategyOptions strategy_;
   index::BlockCache* block_cache_;
 };
 

@@ -4,10 +4,12 @@
 #include "core/engine.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include "datagen/dblp_gen.h"
 #include "datagen/xmark_gen.h"
 #include "index/index_builder.h"
+#include "index/manifest.h"
 #include "storage/page_file.h"
 #include "xml/parser.h"
 
@@ -60,10 +62,10 @@ std::vector<xml::Document> Figure1Collection() {
   return docs;
 }
 
+// Both index kinds the engine serves.
 EngineOptions AllIndexOptions() {
   EngineOptions options;
-  options.indexes = {IndexKind::kNaiveId, IndexKind::kNaiveRank,
-                     IndexKind::kDil, IndexKind::kRdil, IndexKind::kHdil};
+  options.indexes = {IndexKind::kDil, IndexKind::kHdil};
   return options;
 }
 
@@ -72,9 +74,7 @@ TEST(EngineTest, BuildsFromFigure1) {
   ASSERT_TRUE(engine.ok()) << engine.status();
   EXPECT_GT((*engine)->graph().element_count(), 10u);
   EXPECT_TRUE((*engine)->elem_rank_result().converged);
-  for (IndexKind kind :
-       {IndexKind::kNaiveId, IndexKind::kNaiveRank, IndexKind::kDil,
-        IndexKind::kRdil, IndexKind::kHdil}) {
+  for (IndexKind kind : {IndexKind::kDil, IndexKind::kHdil}) {
     EXPECT_TRUE((*engine)->has_index(kind));
     EXPECT_GT((*engine)->index_stats(kind).entry_count, 0u);
   }
@@ -88,8 +88,7 @@ TEST(EngineTest, Figure1MostSpecificResult) {
   auto engine = XRankEngine::Build(Figure1Collection(), AllIndexOptions());
   ASSERT_TRUE(engine.ok()) << engine.status();
 
-  for (IndexKind kind :
-       {IndexKind::kDil, IndexKind::kRdil, IndexKind::kHdil}) {
+  for (IndexKind kind : {IndexKind::kDil, IndexKind::kHdil}) {
     auto response = (*engine)->Query("XQL language", 10, kind);
     ASSERT_TRUE(response.ok()) << response.status();
     ASSERT_FALSE(response->results.empty())
@@ -109,28 +108,6 @@ TEST(EngineTest, Figure1MostSpecificResult) {
   }
 }
 
-// All three Dewey-based processors must agree on the result set and ranks.
-TEST(EngineTest, ProcessorsAgreeOnFigure1) {
-  auto engine = XRankEngine::Build(Figure1Collection(), AllIndexOptions());
-  ASSERT_TRUE(engine.ok()) << engine.status();
-
-  for (const char* query : {"XQL", "XQL language", "Ricardo XQL",
-                            "xml workshop", "querying xyleme"}) {
-    auto dil = (*engine)->Query(query, 20, IndexKind::kDil);
-    auto rdil = (*engine)->Query(query, 20, IndexKind::kRdil);
-    auto hdil = (*engine)->Query(query, 20, IndexKind::kHdil);
-    ASSERT_TRUE(dil.ok() && rdil.ok() && hdil.ok()) << query;
-    ASSERT_EQ(dil->results.size(), rdil->results.size()) << query;
-    ASSERT_EQ(dil->results.size(), hdil->results.size()) << query;
-    for (size_t i = 0; i < dil->results.size(); ++i) {
-      EXPECT_EQ(dil->results[i].id, rdil->results[i].id) << query;
-      EXPECT_NEAR(dil->results[i].rank, rdil->results[i].rank, 1e-9) << query;
-      EXPECT_EQ(dil->results[i].id, hdil->results[i].id) << query;
-      EXPECT_NEAR(dil->results[i].rank, hdil->results[i].rank, 1e-9) << query;
-    }
-  }
-}
-
 TEST(EngineTest, DblpCorpusAgreementAcrossIndexes) {
   datagen::DblpOptions gen;
   gen.num_papers = 120;
@@ -143,15 +120,12 @@ TEST(EngineTest, DblpCorpusAgreementAcrossIndexes) {
   for (size_t n = 1; n <= 4; ++n) {
     std::vector<std::string> keywords(quad.begin(), quad.begin() + n);
     auto dil = (*engine)->QueryKeywords(keywords, 10, IndexKind::kDil);
-    auto rdil = (*engine)->QueryKeywords(keywords, 10, IndexKind::kRdil);
     auto hdil = (*engine)->QueryKeywords(keywords, 10, IndexKind::kHdil);
-    ASSERT_TRUE(dil.ok() && rdil.ok() && hdil.ok());
-    ASSERT_EQ(dil->results.size(), rdil->results.size()) << n << " keywords";
+    ASSERT_TRUE(dil.ok() && hdil.ok());
     ASSERT_EQ(dil->results.size(), hdil->results.size()) << n << " keywords";
     for (size_t i = 0; i < dil->results.size(); ++i) {
-      EXPECT_EQ(dil->results[i].id, rdil->results[i].id);
       EXPECT_EQ(dil->results[i].id, hdil->results[i].id);
-      EXPECT_NEAR(dil->results[i].rank, rdil->results[i].rank, 1e-9);
+      EXPECT_NEAR(dil->results[i].rank, hdil->results[i].rank, 1e-9);
     }
   }
 }
@@ -194,9 +168,7 @@ TEST(EngineTest, AnswerNodeMapping) {
 TEST(EngineTest, MissingKeywordYieldsEmpty) {
   auto engine = XRankEngine::Build(Figure1Collection(), AllIndexOptions());
   ASSERT_TRUE(engine.ok()) << engine.status();
-  for (IndexKind kind :
-       {IndexKind::kNaiveId, IndexKind::kNaiveRank, IndexKind::kDil,
-        IndexKind::kRdil, IndexKind::kHdil}) {
+  for (IndexKind kind : {IndexKind::kDil, IndexKind::kHdil}) {
     auto response = (*engine)->Query("XQL zzznotaword", 10, kind);
     ASSERT_TRUE(response.ok()) << response.status();
     EXPECT_TRUE(response->results.empty());
@@ -208,9 +180,7 @@ TEST(EngineTest, DiskBackedIndexesWork) {
   options.disk_dir = ::testing::TempDir();
   auto engine = XRankEngine::Build(Figure1Collection(), options);
   ASSERT_TRUE(engine.ok()) << engine.status();
-  for (IndexKind kind :
-       {IndexKind::kNaiveId, IndexKind::kNaiveRank, IndexKind::kDil,
-        IndexKind::kRdil, IndexKind::kHdil}) {
+  for (IndexKind kind : {IndexKind::kDil, IndexKind::kHdil}) {
     auto response = (*engine)->Query("XQL language", 10, kind);
     ASSERT_TRUE(response.ok()) << response.status();
     EXPECT_FALSE(response->results.empty()) << index::IndexKindName(kind);
@@ -245,8 +215,105 @@ TEST(EngineTest, QueryUnbuiltIndexFails) {
   options.indexes = {IndexKind::kDil};
   auto engine = XRankEngine::Build(Figure1Collection(), options);
   ASSERT_TRUE(engine.ok()) << engine.status();
-  auto response = (*engine)->Query("XQL", 10, IndexKind::kRdil);
+  auto response = (*engine)->Query("XQL", 10, IndexKind::kHdil);
   EXPECT_FALSE(response.ok());
+}
+
+// The paper's comparison baselines are not served: Build refuses them with
+// an error naming the kind and the harness that builds them instead.
+TEST(EngineTest, BuildRefusesBaselineKind) {
+  EngineOptions options;
+  options.indexes = {IndexKind::kDil, IndexKind::kRdil};
+  auto engine = XRankEngine::Build(Figure1Collection(), options);
+  ASSERT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
+  const std::string message(engine.status().message());
+  EXPECT_NE(message.find("RDIL"), std::string::npos) << message;
+  EXPECT_NE(message.find("harness"), std::string::npos) << message;
+}
+
+TEST(EngineTest, OpenRefusesManifestListingBaselineKind) {
+  const std::string dir = ::testing::TempDir() + "/engine_refuses_naive";
+  ::mkdir(dir.c_str(), 0755);
+  EngineOptions options = AllIndexOptions();
+  options.disk_dir = dir;
+  {
+    auto engine = XRankEngine::Build(Figure1Collection(), options);
+    ASSERT_TRUE(engine.ok()) << engine.status();
+  }
+  // The committed DIL/HDIL directory reopens and serves.
+  {
+    auto reopened = XRankEngine::Open(Figure1Collection(), options);
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    auto response = (*reopened)->Query("XQL language", 10, IndexKind::kHdil);
+    ASSERT_TRUE(response.ok()) << response.status();
+    EXPECT_FALSE(response->results.empty());
+  }
+  // Re-commit the MANIFEST with one entry relabelled as Naive-ID.
+  auto manifest = index::ReadManifestFile(dir);
+  ASSERT_TRUE(manifest.ok()) << manifest.status();
+  manifest->entries.front().kind = IndexKind::kNaiveId;
+  ASSERT_TRUE(index::WriteManifestFile(dir, *manifest).ok());
+
+  auto refused = XRankEngine::Open(Figure1Collection(), options);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  const std::string message(refused.status().message());
+  EXPECT_NE(message.find("Naive-ID"), std::string::npos) << message;
+  EXPECT_NE(message.find("harness"), std::string::npos) << message;
+}
+
+// Snippets keep the leading 117 bytes of the element's subtree text plus
+// "..." (or the whole text when it fits in 120). The bounded walk must
+// reproduce the full-walk-then-truncate reference byte for byte, on a
+// root-level XMark element (a whole auction site) and on short elements.
+std::string ReferenceSnippet(const graph::XmlGraph& graph, graph::NodeId node) {
+  std::string text = graph.DeepText(node);
+  if (text.size() > 120) {
+    text.resize(117);
+    text += "...";
+  }
+  return text;
+}
+
+TEST(EngineTest, SnippetsMatchFullWalkReference) {
+  datagen::XMarkOptions gen;
+  gen.num_items = 30;
+  gen.num_open_auctions = 20;
+  gen.num_closed_auctions = 10;
+  gen.num_people = 15;
+  datagen::Corpus corpus = datagen::GenerateXMark(gen);
+  EngineOptions options;
+  options.indexes = {IndexKind::kDil};
+  // Map every hit to the document root: the snippet covers the whole site.
+  options.answer_node_tags = {"site"};
+  auto engine = XRankEngine::Build(std::move(corpus.documents), options);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  const graph::XmlGraph& graph = (*engine)->graph();
+
+  const auto& quad = corpus.planted.high_correlation[0];
+  auto response = (*engine)->QueryKeywords({quad[0]}, 5, IndexKind::kDil);
+  ASSERT_TRUE(response.ok()) << response.status();
+  ASSERT_FALSE(response->results.empty());
+  for (const auto& result : response->results) {
+    ASSERT_EQ(result.id.depth(), 1u);
+    auto node = graph.FindByDewey(result.id);
+    ASSERT_TRUE(node.ok()) << node.status();
+    ASSERT_GT(graph.DeepText(*node).size(), 120u);
+    EXPECT_EQ(result.snippet, ReferenceSnippet(graph, *node));
+  }
+
+  auto figure1 = XRankEngine::Build(Figure1Collection(), AllIndexOptions());
+  ASSERT_TRUE(figure1.ok()) << figure1.status();
+  auto short_hits = (*figure1)->Query("xyleme", 10, IndexKind::kDil);
+  ASSERT_TRUE(short_hits.ok()) << short_hits.status();
+  ASSERT_FALSE(short_hits->results.empty());
+  for (const auto& result : short_hits->results) {
+    const graph::XmlGraph& fig_graph = (*figure1)->graph();
+    auto node = fig_graph.FindByDewey(result.id);
+    ASSERT_TRUE(node.ok()) << node.status();
+    EXPECT_EQ(result.snippet, ReferenceSnippet(fig_graph, *node));
+  }
 }
 
 }  // namespace

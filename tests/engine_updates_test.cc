@@ -34,8 +34,7 @@ std::vector<xml::Document> SmallCollection() {
 
 EngineOptions AllIndexes() {
   EngineOptions options;
-  options.indexes = {IndexKind::kNaiveId, IndexKind::kNaiveRank,
-                     IndexKind::kDil, IndexKind::kRdil, IndexKind::kHdil};
+  options.indexes = {IndexKind::kDil, IndexKind::kHdil};
   return options;
 }
 
@@ -52,9 +51,7 @@ TEST(EngineUpdatesTest, DeleteFiltersResultsImmediately) {
   auto engine = XRankEngine::Build(SmallCollection(), AllIndexes());
   ASSERT_TRUE(engine.ok()) << engine.status();
 
-  for (IndexKind kind :
-       {IndexKind::kNaiveId, IndexKind::kNaiveRank, IndexKind::kDil,
-        IndexKind::kRdil, IndexKind::kHdil}) {
+  for (IndexKind kind : {IndexKind::kDil, IndexKind::kHdil}) {
     auto before = (*engine)->Query("shared alpha", 20, kind);
     ASSERT_TRUE(before.ok());
     EXPECT_GT(CountDocResults(*before, "d2.xml"), 0u);
@@ -63,9 +60,7 @@ TEST(EngineUpdatesTest, DeleteFiltersResultsImmediately) {
   ASSERT_TRUE((*engine)->DeleteDocument("d2.xml").ok());
   EXPECT_EQ((*engine)->deleted_document_count(), 1u);
 
-  for (IndexKind kind :
-       {IndexKind::kNaiveId, IndexKind::kNaiveRank, IndexKind::kDil,
-        IndexKind::kRdil, IndexKind::kHdil}) {
+  for (IndexKind kind : {IndexKind::kDil, IndexKind::kHdil}) {
     auto after = (*engine)->Query("shared alpha", 20, kind);
     ASSERT_TRUE(after.ok());
     EXPECT_EQ(CountDocResults(*after, "d2.xml"), 0u)
@@ -88,12 +83,9 @@ TEST(EngineUpdatesTest, CompactionShrinksIndexesAndPreservesResults) {
       (*engine)->index_stats(IndexKind::kDil).entry_count;
 
   ASSERT_TRUE((*engine)->DeleteDocument("d2.xml").ok());
-  // Capture each structure's tombstone-filtered results (the naive kinds
-  // legitimately include spurious ancestors, so compare per kind).
+  // Capture each structure's tombstone-filtered results.
   std::map<IndexKind, core::EngineResponse> filtered;
-  for (IndexKind kind :
-       {IndexKind::kNaiveId, IndexKind::kNaiveRank, IndexKind::kDil,
-        IndexKind::kRdil, IndexKind::kHdil}) {
+  for (IndexKind kind : {IndexKind::kDil, IndexKind::kHdil}) {
     auto response = (*engine)->Query("shared alpha", 20, kind);
     ASSERT_TRUE(response.ok());
     filtered.emplace(kind, std::move(response).value());

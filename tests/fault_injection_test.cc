@@ -78,11 +78,8 @@ std::string FreshDir(const std::string& name) {
   std::string dir = std::string(::testing::TempDir()) + "/fi_" + name;
   ::mkdir(dir.c_str(), 0755);
   // Clear any leftovers from a previous run of the same test.
-  for (const char* file :
-       {"MANIFEST", "MANIFEST.tmp", "DIL.xrank", "DIL.xrank.tmp",
-        "RDIL.xrank", "RDIL.xrank.tmp", "HDIL.xrank", "HDIL.xrank.tmp",
-        "NaiveId.xrank", "NaiveId.xrank.tmp", "NaiveRank.xrank",
-        "NaiveRank.xrank.tmp"}) {
+  for (const char* file : {"MANIFEST", "MANIFEST.tmp", "DIL.xrank",
+                           "DIL.xrank.tmp", "HDIL.xrank", "HDIL.xrank.tmp"}) {
     std::remove((dir + "/" + file).c_str());
   }
   return dir;
@@ -560,8 +557,7 @@ TEST_F(FaultInjectionTest, QueriesSurviveTransientReadFaultsUnchanged) {
 
 TEST_F(FaultInjectionTest, CancelledQueryReturnsDeadlineExceeded) {
   EngineOptions options;
-  options.indexes = {IndexKind::kNaiveId, IndexKind::kNaiveRank,
-                     IndexKind::kDil, IndexKind::kRdil, IndexKind::kHdil};
+  options.indexes = {IndexKind::kDil, IndexKind::kHdil};
   auto engine = XRankEngine::Build(Corpus(), options);
   ASSERT_TRUE(engine.ok()) << engine.status();
 
@@ -569,9 +565,7 @@ TEST_F(FaultInjectionTest, CancelledQueryReturnsDeadlineExceeded) {
   query::QueryOptions qopts;
   qopts.cancel = &cancel;
   uint64_t expected = 0;
-  for (IndexKind kind :
-       {IndexKind::kNaiveId, IndexKind::kNaiveRank, IndexKind::kDil,
-        IndexKind::kRdil, IndexKind::kHdil}) {
+  for (IndexKind kind : {IndexKind::kDil, IndexKind::kHdil}) {
     auto response = (*engine)->Query("xql language", 10, kind, qopts);
     ASSERT_FALSE(response.ok()) << index::IndexKindName(kind);
     EXPECT_EQ(response.status().code(), StatusCode::kDeadlineExceeded)

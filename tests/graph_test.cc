@@ -166,5 +166,24 @@ TEST(GraphTest, DeepTextConcatenatesSubtree) {
   EXPECT_NE(text.find("z"), std::string::npos);
 }
 
+// A byte budget returns exactly the leading bytes of the full text, at
+// every budget — separators, empty subtrees and value boundaries included.
+TEST(GraphTest, DeepTextPrefixMatchesFullWalk) {
+  GraphBuilder builder;
+  ASSERT_TRUE(builder
+                  .AddDocument(Parse("<a>head<b>one two</b><e/><c><d>three"
+                                     "</d><f></f>four</c>tail</a>",
+                                     "u"))
+                  .ok());
+  auto graph = std::move(builder).Finalize();
+  ASSERT_TRUE(graph.ok());
+  NodeId root = graph->documents()[0].root;
+  const std::string full = graph->DeepText(root);
+  for (size_t budget = 0; budget <= full.size() + 2; ++budget) {
+    EXPECT_EQ(graph->DeepText(root, budget), full.substr(0, budget))
+        << "budget " << budget;
+  }
+}
+
 }  // namespace
 }  // namespace xrank::graph

@@ -34,9 +34,8 @@ using fail::FailPointSpec;
 using fail::ScopedFailPoint;
 using index::IndexKind;
 
-constexpr IndexKind kAllKinds[] = {IndexKind::kNaiveId, IndexKind::kNaiveRank,
-                                   IndexKind::kDil, IndexKind::kRdil,
-                                   IndexKind::kHdil};
+// Every kind the engine serves.
+constexpr IndexKind kAllKinds[] = {IndexKind::kDil, IndexKind::kHdil};
 
 std::vector<xml::Document> BaseCollection() {
   std::vector<xml::Document> docs;
@@ -63,8 +62,7 @@ std::string LiveUri(int i) { return "live" + std::to_string(i) + ".xml"; }
 // In-memory engine options with inline (deterministic) maintenance.
 EngineOptions InlineOptions() {
   EngineOptions options;
-  options.indexes = {IndexKind::kNaiveId, IndexKind::kNaiveRank,
-                     IndexKind::kDil, IndexKind::kRdil, IndexKind::kHdil};
+  options.indexes = {IndexKind::kDil, IndexKind::kHdil};
   options.background_maintenance = false;
   // Keep automatic flushing out of the way; tests flush explicitly.
   options.max_delta_documents = 64;

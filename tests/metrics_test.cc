@@ -225,14 +225,11 @@ TEST(MetricsTest, TraceSpanNesting) {
 // per-term counters for every index kind.
 TEST(MetricsTest, EngineQueryPopulatesTrace) {
   EngineOptions options;
-  options.indexes = {IndexKind::kDil, IndexKind::kRdil, IndexKind::kHdil,
-                     IndexKind::kNaiveId, IndexKind::kNaiveRank};
+  options.indexes = {IndexKind::kDil, IndexKind::kHdil};
   auto engine = XRankEngine::Build(Corpus(), options);
   ASSERT_TRUE(engine.ok()) << engine.status();
 
-  for (IndexKind kind :
-       {IndexKind::kDil, IndexKind::kRdil, IndexKind::kHdil,
-        IndexKind::kNaiveId, IndexKind::kNaiveRank}) {
+  for (IndexKind kind : {IndexKind::kDil, IndexKind::kHdil}) {
     QueryTrace trace;
     query::QueryOptions query_options;
     query_options.trace = &trace;

@@ -150,8 +150,7 @@ TEST_P(PruningPropertyTest, HdilWithBlockCacheMatchesWithout) {
                                   ScoringOptions{});
   query::HdilQueryProcessor cached(corpus->pool(IndexKind::kHdil),
                                    corpus->lexicon(IndexKind::kHdil),
-                                   ScoringOptions{}, query::HdilStrategyOptions{},
-                                   &cache);
+                                   ScoringOptions{}, &cache);
   for (int trial = 0; trial < 6; ++trial) {
     size_t nk = 1 + rng.Uniform(3);
     std::set<std::string> chosen;

@@ -73,24 +73,31 @@ TEST(TfIdfTest, RanksReflectTermFrequencyAndRarity) {
 TEST(TfIdfTest, EngineEndToEndAgreesAcrossIndexes) {
   EngineOptions options;
   options.extraction.rank_source = index::RankSource::kTfIdf;
-  options.indexes = {IndexKind::kDil, IndexKind::kRdil, IndexKind::kHdil};
+  options.indexes = {IndexKind::kDil, IndexKind::kHdil};
   std::vector<xml::Document> docs;
   auto doc = xml::ParseDocument(testutil::Figure1Xml(), "f");
   ASSERT_TRUE(doc.ok());
   docs.push_back(std::move(doc).value());
+  // RDIL, a paper baseline, runs on the harness over the same corpus.
+  EngineOptions rdil_options = options;
+  rdil_options.indexes = {IndexKind::kRdil};
+  auto harness = harness::BuildIndexedCorpus(docs, rdil_options);
+  ASSERT_TRUE(harness.ok()) << harness.status();
   auto engine = XRankEngine::Build(std::move(docs), options);
   ASSERT_TRUE(engine.ok()) << engine.status();
 
-  for (const char* query : {"xql", "xql language", "querying xyleme"}) {
-    auto dil = (*engine)->Query(query, 10, IndexKind::kDil);
-    auto rdil = (*engine)->Query(query, 10, IndexKind::kRdil);
-    auto hdil = (*engine)->Query(query, 10, IndexKind::kHdil);
+  for (std::vector<std::string> keywords :
+       std::vector<std::vector<std::string>>{
+           {"xql"}, {"xql", "language"}, {"querying", "xyleme"}}) {
+    auto dil = (*engine)->QueryKeywords(keywords, 10, IndexKind::kDil);
+    auto hdil = (*engine)->QueryKeywords(keywords, 10, IndexKind::kHdil);
+    auto rdil = (*harness)->QueryKeywords(keywords, 10, IndexKind::kRdil);
     ASSERT_TRUE(dil.ok() && rdil.ok() && hdil.ok());
-    ASSERT_EQ(dil->results.size(), rdil->results.size()) << query;
-    ASSERT_EQ(dil->results.size(), hdil->results.size()) << query;
+    ASSERT_EQ(dil->results.size(), rdil->results.size()) << keywords[0];
+    ASSERT_EQ(dil->results.size(), hdil->results.size()) << keywords[0];
     for (size_t i = 0; i < dil->results.size(); ++i) {
-      EXPECT_EQ(dil->results[i].id, rdil->results[i].id) << query;
-      EXPECT_EQ(dil->results[i].id, hdil->results[i].id) << query;
+      EXPECT_EQ(dil->results[i].id, rdil->results[i].id) << keywords[0];
+      EXPECT_EQ(dil->results[i].id, hdil->results[i].id) << keywords[0];
     }
   }
 }

@@ -2,7 +2,8 @@
 // and thread-count determinism, byte-identical on-disk builds, bitwise
 // query parity between identity and BP-reordered engines (after mapping
 // physical ids back through the permutation) across codecs, rank encodings
-// and all five index kinds, compression monotonicity on a clustered
+// and all five index kinds (the three paper baselines through the
+// reproduction harness), compression monotonicity on a clustered
 // corpus, reorder-id persistence/validation in headers, MANIFEST and
 // SHARDING files, sharded parity, and live update + delete + compaction on
 // a reordered engine.
@@ -23,6 +24,7 @@
 
 #include "core/engine.h"
 #include "core/shard_router.h"
+#include "harness/indexed_corpus.h"
 #include "index/codec.h"
 #include "index/index_builder.h"
 #include "index/manifest.h"
@@ -37,6 +39,7 @@ using core::EngineResponse;
 using core::XRankEngine;
 using index::IndexKind;
 
+// The paper's five index organizations; the harness builds all of them.
 constexpr IndexKind kAllKinds[] = {IndexKind::kNaiveId, IndexKind::kNaiveRank,
                                    IndexKind::kDil, IndexKind::kRdil,
                                    IndexKind::kHdil};
@@ -91,12 +94,26 @@ std::vector<xml::Document> ClusteredCollection() {
   return docs;
 }
 
+// Both kinds the engine serves.
 EngineOptions AllIndexOptions() {
   EngineOptions options;
-  options.indexes = {IndexKind::kNaiveId, IndexKind::kNaiveRank,
-                     IndexKind::kDil, IndexKind::kRdil, IndexKind::kHdil};
+  options.indexes = {IndexKind::kDil, IndexKind::kHdil};
   options.background_maintenance = false;
   return options;
+}
+
+// Every kind, for the reproduction harness.
+EngineOptions HarnessOptions() {
+  EngineOptions options;
+  options.indexes = {std::begin(kAllKinds), std::end(kAllKinds)};
+  return options;
+}
+
+std::unique_ptr<harness::IndexedCorpus> BuildHarness(
+    std::vector<xml::Document> docs, const EngineOptions& options) {
+  auto corpus = harness::BuildIndexedCorpus(docs, options);
+  EXPECT_TRUE(corpus.ok()) << corpus.status();
+  return corpus.ok() ? std::move(corpus).value() : nullptr;
 }
 
 index::ReorderOptions BpOptions(size_t threads = 1) {
@@ -219,9 +236,7 @@ TEST(ReorderTest, DiskBuildIsByteIdenticalAcrossThreadCounts) {
     ASSERT_TRUE(engine.ok()) << engine.status();
     dirs[threads] = dir;
   }
-  for (const char* file :
-       {"Naive-ID.xrank", "Naive-Rank.xrank", "DIL.xrank", "RDIL.xrank",
-        "HDIL.xrank", "MANIFEST"}) {
+  for (const char* file : {"DIL.xrank", "HDIL.xrank", "MANIFEST"}) {
     EXPECT_EQ(ReadFileBytes(dirs[1] + "/" + file),
               ReadFileBytes(dirs[4] + "/" + file))
         << file;
@@ -232,9 +247,11 @@ TEST(ReorderTest, DiskBuildIsByteIdenticalAcrossThreadCounts) {
 
 // Canonical order for comparing an identity-built and a reordered response:
 // map every result id back to the identity doc-id space, then sort by
-// (rank desc, id). Membership, ids and ranks must agree bitwise.
+// (rank desc, id). Membership, ids and ranks must agree bitwise. Takes an
+// engine or a harness response.
+template <typename Response>
 std::vector<std::pair<dewey::DeweyId, double>> CanonicalResults(
-    const EngineResponse& response, const index::DocPermutation& perm) {
+    const Response& response, const index::DocPermutation& perm) {
   std::vector<std::pair<dewey::DeweyId, double>> out;
   for (const auto& result : response.results) {
     dewey::DeweyId id = result.id;
@@ -250,6 +267,38 @@ std::vector<std::pair<dewey::DeweyId, double>> CanonicalResults(
   return out;
 }
 
+// Runs every query against kind on both builds and asserts parity. m is
+// large enough to hold every match: the reordered build may break rank
+// ties differently (tie-break is by physical id), so parity is asserted on
+// the full mapped result set, not a truncated prefix.
+template <typename Searcher>
+void ExpectReorderParity(Searcher& identity, Searcher& reordered,
+                         const index::DocPermutation& perm, IndexKind kind,
+                         const std::string& label) {
+  for (const auto& keywords : ClusterQueries()) {
+    auto expected = identity.QueryKeywords(keywords, 400, kind);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    auto actual = reordered.QueryKeywords(keywords, 400, kind);
+    ASSERT_TRUE(actual.ok()) << actual.status();
+
+    auto canonical_expected =
+        CanonicalResults(*expected, index::DocPermutation{});
+    auto canonical_actual = CanonicalResults(*actual, perm);
+    const std::string what = label + " kind " +
+                             std::string(index::IndexKindName(kind)) +
+                             " query " + keywords[0];
+    ASSERT_EQ(canonical_actual.size(), canonical_expected.size()) << what;
+    for (size_t i = 0; i < canonical_actual.size(); ++i) {
+      EXPECT_EQ(canonical_actual[i].first, canonical_expected[i].first)
+          << what << " result " << i;
+      EXPECT_EQ(canonical_actual[i].second, canonical_expected[i].second)
+          << what << " result " << i;
+    }
+  }
+}
+
+// All five kinds through the harness, and the two served kinds end to end
+// through the engine (whose decoration maps physical ids back to the graph).
 TEST(ReorderTest, QueryParityAcrossCodecsRanksAndKinds) {
   const uint32_t codecs[] = {index::kPostingCodecVarint,
                              index::kPostingCodecBp128,
@@ -257,46 +306,39 @@ TEST(ReorderTest, QueryParityAcrossCodecsRanksAndKinds) {
   for (uint32_t codec : codecs) {
     for (index::RankEncoding ranks :
          {index::RankEncoding::kFloat32, index::RankEncoding::kQuantU8}) {
-      EngineOptions options = AllIndexOptions();
+      const std::string label = "codec " + std::to_string(codec) +
+                                " ranks " +
+                                std::to_string(static_cast<int>(ranks));
+      EngineOptions options = HarnessOptions();
       options.build.format.codec_id = codec;
       options.build.format.ranks = ranks;
-
-      auto identity = XRankEngine::Build(ClusteredCollection(), options);
-      ASSERT_TRUE(identity.ok()) << identity.status();
-      EXPECT_TRUE((*identity)->doc_permutation().empty());
-
+      auto identity = BuildHarness(ClusteredCollection(), options);
+      ASSERT_NE(identity, nullptr);
+      EXPECT_TRUE(identity->doc_perm.empty());
       options.build.reorder = BpOptions();
-      auto reordered = XRankEngine::Build(ClusteredCollection(), options);
-      ASSERT_TRUE(reordered.ok()) << reordered.status();
-      const index::DocPermutation& perm = (*reordered)->doc_permutation();
-      ASSERT_FALSE(perm.empty());
+      auto reordered = BuildHarness(ClusteredCollection(), options);
+      ASSERT_NE(reordered, nullptr);
+      ASSERT_FALSE(reordered->doc_perm.empty());
+      for (IndexKind kind : kAllKinds) {
+        ExpectReorderParity(*identity, *reordered, reordered->doc_perm, kind,
+                            label);
+      }
 
-      // m large enough to hold every match: the reordered engine may break
-      // rank ties differently (tie-break is by physical id), so parity is
-      // asserted on the full mapped result set, not a truncated prefix.
-      for (const auto& keywords : ClusterQueries()) {
-        for (IndexKind kind : kAllKinds) {
-          auto expected = (*identity)->QueryKeywords(keywords, 400, kind);
-          ASSERT_TRUE(expected.ok()) << expected.status();
-          auto actual = (*reordered)->QueryKeywords(keywords, 400, kind);
-          ASSERT_TRUE(actual.ok()) << actual.status();
-
-          auto canonical_expected =
-              CanonicalResults(*expected, index::DocPermutation{});
-          auto canonical_actual = CanonicalResults(*actual, perm);
-          std::ostringstream what;
-          what << "codec " << codec << " ranks " << static_cast<int>(ranks)
-               << " kind " << index::IndexKindName(kind) << " query "
-               << keywords[0];
-          ASSERT_EQ(canonical_actual.size(), canonical_expected.size())
-              << what.str();
-          for (size_t i = 0; i < canonical_actual.size(); ++i) {
-            EXPECT_EQ(canonical_actual[i].first, canonical_expected[i].first)
-                << what.str() << " result " << i;
-            EXPECT_EQ(canonical_actual[i].second, canonical_expected[i].second)
-                << what.str() << " result " << i;
-          }
-        }
+      EngineOptions engine_options = AllIndexOptions();
+      engine_options.build.format = options.build.format;
+      auto identity_engine =
+          XRankEngine::Build(ClusteredCollection(), engine_options);
+      ASSERT_TRUE(identity_engine.ok()) << identity_engine.status();
+      engine_options.build.reorder = BpOptions();
+      auto reordered_engine =
+          XRankEngine::Build(ClusteredCollection(), engine_options);
+      ASSERT_TRUE(reordered_engine.ok()) << reordered_engine.status();
+      const index::DocPermutation& perm =
+          (*reordered_engine)->doc_permutation();
+      EXPECT_EQ(perm.new_to_old, reordered->doc_perm.new_to_old);
+      for (IndexKind kind : {IndexKind::kDil, IndexKind::kHdil}) {
+        ExpectReorderParity(**identity_engine, **reordered_engine, perm, kind,
+                            label + " engine");
       }
     }
   }
@@ -359,27 +401,28 @@ std::vector<xml::Document> DeepClusteredCollection() {
 }
 
 TEST(ReorderTest, ClusteredCorpusCompressesTighterAfterReorder) {
-  EngineOptions options = AllIndexOptions();
+  EngineOptions options;
+  options.indexes = {IndexKind::kDil, IndexKind::kRdil, IndexKind::kHdil};
   options.build.format.codec_id = index::kPostingCodecBp128;
 
-  auto identity = XRankEngine::Build(DeepClusteredCollection(), options);
-  ASSERT_TRUE(identity.ok()) << identity.status();
+  auto identity = BuildHarness(DeepClusteredCollection(), options);
+  ASSERT_NE(identity, nullptr);
 
   options.build.reorder = BpOptions(4);
   options.build.reorder.min_partition = 8;
-  auto reordered = XRankEngine::Build(DeepClusteredCollection(), options);
-  ASSERT_TRUE(reordered.ok()) << reordered.status();
+  auto reordered = BuildHarness(DeepClusteredCollection(), options);
+  ASSERT_NE(reordered, nullptr);
 
   // Same postings, tighter gaps: the delta-coded kinds must not grow, and
   // DIL (pure document-ordered lists) must strictly shrink on this
   // deliberately scattered clustered corpus.
   for (IndexKind kind : {IndexKind::kDil, IndexKind::kRdil, IndexKind::kHdil}) {
-    const uint64_t before = (*identity)->index_stats(kind).list_used_bytes;
-    const uint64_t after = (*reordered)->index_stats(kind).list_used_bytes;
+    const uint64_t before = identity->index_stats(kind).list_used_bytes;
+    const uint64_t after = reordered->index_stats(kind).list_used_bytes;
     EXPECT_LE(after, before) << index::IndexKindName(kind);
   }
-  EXPECT_LT((*reordered)->index_stats(IndexKind::kDil).list_used_bytes,
-            (*identity)->index_stats(IndexKind::kDil).list_used_bytes);
+  EXPECT_LT(reordered->index_stats(IndexKind::kDil).list_used_bytes,
+            identity->index_stats(IndexKind::kDil).list_used_bytes);
 }
 
 // --- persistence and validation ---------------------------------------------
@@ -387,7 +430,6 @@ TEST(ReorderTest, ClusteredCorpusCompressesTighterAfterReorder) {
 TEST(ReorderTest, ReopenRederivesTheSamePermutation) {
   std::string dir = FreshDir("reopen");
   EngineOptions options = AllIndexOptions();
-  options.indexes = {IndexKind::kDil, IndexKind::kHdil};
   options.disk_dir = dir;
   options.build.reorder = BpOptions();
 
@@ -474,7 +516,6 @@ TEST(ReorderCorruptionTest, ManifestRoundTripsAndValidatesReorderToken) {
 TEST(ReorderCorruptionTest, MixedReorderIdsAcrossEntriesRefusedAtOpen) {
   std::string dir = FreshDir("mixed");
   EngineOptions options = AllIndexOptions();
-  options.indexes = {IndexKind::kDil, IndexKind::kHdil};
   options.disk_dir = dir;
   options.build.reorder = BpOptions();
   {
@@ -521,7 +562,6 @@ TEST(ReorderCorruptionTest, ShardingFileRoundTripsAndValidatesReorder) {
 
 TEST(ReorderTest, ShardedReorderMatchesReorderedMonolith) {
   EngineOptions engine_options = AllIndexOptions();
-  engine_options.indexes = {IndexKind::kDil, IndexKind::kHdil};
   engine_options.build.reorder = BpOptions();
 
   auto monolith = XRankEngine::Build(ClusteredCollection(), engine_options);
@@ -566,7 +606,6 @@ TEST(ReorderTest, ShardedReorderMatchesReorderedMonolith) {
 TEST(ReorderTest, LiveAddDeleteCompactOnReorderedEngine) {
   std::string dir = FreshDir("live");
   EngineOptions options = AllIndexOptions();
-  options.indexes = {IndexKind::kDil, IndexKind::kHdil};
   options.disk_dir = dir;
   options.build.reorder = BpOptions();
   options.max_delta_documents = 64;

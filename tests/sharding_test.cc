@@ -452,6 +452,40 @@ TEST(ShardRouterStatsTest, TraceSplicesPerShardSpans) {
   EXPECT_TRUE(saw_shard_count);
 }
 
+// Each shard's trace starts when that shard starts, so under a sequential
+// scatter the spliced shard spans follow one another instead of all
+// opening at the scatter start.
+TEST(ShardRouterStatsTest, SequentialShardSpansDoNotOverlap) {
+  ShardRouterOptions options;
+  options.num_shards = 4;
+  options.sequential_scatter = true;
+  auto router = ShardRouter::Build(MakeCorpus(8).documents, options);
+  ASSERT_TRUE(router.ok()) << router.status();
+
+  const auto quad = MakeCorpus(8).planted.high_correlation[0];
+  query::QueryTrace trace;
+  QueryOptions query_options;
+  query_options.trace = &trace;
+  auto response = (*router)->QueryKeywords({quad[0], quad[1]}, 5,
+                                           IndexKind::kHdil, query_options);
+  ASSERT_TRUE(response.ok()) << response.status();
+
+  std::vector<const query::QueryTrace::Span*> shards(4, nullptr);
+  for (const query::QueryTrace::Span& span : trace.spans()) {
+    for (size_t i = 0; i < shards.size(); ++i) {
+      if (span.name == "shard[" + std::to_string(i) + "]") shards[i] = &span;
+    }
+  }
+  for (size_t i = 0; i < shards.size(); ++i) {
+    ASSERT_NE(shards[i], nullptr) << "no span for shard " << i;
+  }
+  for (size_t i = 0; i + 1 < shards.size(); ++i) {
+    EXPECT_GE(shards[i + 1]->start_us,
+              shards[i]->start_us + shards[i]->duration_us)
+        << "shard[" << i + 1 << "] opens inside shard[" << i << "]";
+  }
+}
+
 // --- disk round-trip ---------------------------------------------------------
 
 TEST(ShardRouterDiskTest, BuildOpenRoundTripAndCorruptionDetection) {

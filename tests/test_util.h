@@ -3,109 +3,41 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "graph/builder.h"
-#include "index/dil_index.h"
-#include "index/hdil_index.h"
-#include "index/index_builder.h"
-#include "index/naive_index.h"
-#include "index/rdil_index.h"
-#include "rank/elem_rank.h"
-#include "storage/buffer_pool.h"
+#include "harness/indexed_corpus.h"
 #include "xml/parser.h"
 
 namespace xrank::testutil {
 
-// Parses documents, builds the graph + ElemRanks + every physical index
-// (memory-backed), and exposes per-index buffer pools with cost models.
-// Small enough to rebuild per test.
-struct IndexedCorpus {
-  graph::XmlGraph graph;
-  rank::ElemRankResult ranks;
-  index::ExtractionResult extracted;
+using harness::IndexedCorpus;
 
-  struct Instance {
-    index::BuiltIndex built;
-    std::unique_ptr<storage::CostModel> cost_model;
-    std::unique_ptr<storage::BufferPool> pool;
-  };
-  std::map<index::IndexKind, Instance> indexes;
-
-  storage::BufferPool* pool(index::IndexKind kind) {
-    return indexes.at(kind).pool.get();
-  }
-  const index::Lexicon* lexicon(index::IndexKind kind) {
-    return &indexes.at(kind).built.lexicon;
-  }
-  storage::CostModel* cost_model(index::IndexKind kind) {
-    return indexes.at(kind).cost_model.get();
-  }
-  void DropCaches() {
-    for (auto& [kind, instance] : indexes) {
-      instance.pool->DropCache();
-      instance.cost_model->Reset();
-    }
-  }
-};
-
+// Parses (text, uri) documents and builds every physical index kind over
+// them through the reproduction harness (memory-backed, one pool and cost
+// model per kind). Small enough to rebuild per test.
 inline std::unique_ptr<IndexedCorpus> BuildIndexedCorpus(
     std::vector<std::pair<std::string, std::string>> docs,
     const index::HdilOptions& hdil_options = {},
     size_t buffer_pool_pages = 1024, const index::BuildOptions& build = {}) {
-  auto corpus = std::make_unique<IndexedCorpus>();
-  graph::GraphBuilder builder;
+  std::vector<xml::Document> parsed;
   for (const auto& [text, uri] : docs) {
     auto doc = xml::ParseDocument(text, uri);
     EXPECT_TRUE(doc.ok()) << doc.status();
-    EXPECT_TRUE(builder.AddDocument(*doc).ok());
+    if (doc.ok()) parsed.push_back(std::move(doc).value());
   }
-  auto graph = std::move(builder).Finalize();
-  EXPECT_TRUE(graph.ok()) << graph.status();
-  corpus->graph = std::move(graph).value();
-
-  auto ranks = rank::ComputeElemRank(corpus->graph, rank::ElemRankOptions{});
-  EXPECT_TRUE(ranks.ok()) << ranks.status();
-  corpus->ranks = std::move(ranks).value();
-
-  index::ExtractionOptions extraction;
-  extraction.build_naive = true;
-  auto extracted =
-      index::ExtractPostings(corpus->graph, corpus->ranks.ranks, extraction);
-  EXPECT_TRUE(extracted.ok()) << extracted.status();
-  corpus->extracted = std::move(extracted).value();
-
-  auto install = [&](index::IndexKind kind, Result<index::BuiltIndex> built) {
-    EXPECT_TRUE(built.ok()) << built.status();
-    IndexedCorpus::Instance instance;
-    instance.built = std::move(built).value();
-    instance.cost_model = std::make_unique<storage::CostModel>();
-    instance.pool = std::make_unique<storage::BufferPool>(
-        instance.built.file.get(), buffer_pool_pages,
-        instance.cost_model.get());
-    corpus->indexes.emplace(kind, std::move(instance));
-  };
-  install(index::IndexKind::kDil,
-          index::BuildDilIndex(corpus->extracted.dewey_postings,
-                               storage::PageFile::CreateInMemory(), build));
-  install(index::IndexKind::kRdil,
-          index::BuildRdilIndex(corpus->extracted.dewey_postings,
-                                storage::PageFile::CreateInMemory(), build));
-  install(index::IndexKind::kHdil,
-          index::BuildHdilIndex(corpus->extracted.dewey_postings,
-                                storage::PageFile::CreateInMemory(),
-                                hdil_options, build));
-  install(index::IndexKind::kNaiveId,
-          index::BuildNaiveIdIndex(corpus->extracted.naive_postings,
-                                   storage::PageFile::CreateInMemory(), build));
-  install(index::IndexKind::kNaiveRank,
-          index::BuildNaiveRankIndex(corpus->extracted.naive_postings,
-                                     storage::PageFile::CreateInMemory(),
-                                     build));
-  return corpus;
+  core::EngineOptions options;
+  options.indexes = {index::IndexKind::kNaiveId, index::IndexKind::kNaiveRank,
+                     index::IndexKind::kDil, index::IndexKind::kRdil,
+                     index::IndexKind::kHdil};
+  options.hdil = hdil_options;
+  options.buffer_pool_pages = buffer_pool_pages;
+  options.build = build;
+  auto corpus = harness::BuildIndexedCorpus(parsed, options);
+  EXPECT_TRUE(corpus.ok()) << corpus.status();
+  return corpus.ok() ? std::move(corpus).value() : nullptr;
 }
 
 // The Figure 1 document used throughout the paper's examples.

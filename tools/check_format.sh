@@ -18,7 +18,7 @@ if ! command -v "$CLANG_FORMAT" > /dev/null 2>&1; then
   exit 0
 fi
 
-mapfile -t FILES < <(find src tests bench tools examples \
+mapfile -t FILES < <(find src harness tests bench tools examples \
   \( -name '*.cc' -o -name '*.h' -o -name '*.cpp' \) | sort)
 
 if [[ ${#FILES[@]} -eq 0 ]]; then

@@ -12,6 +12,10 @@
 #      reports (bench_scaling) are host-dependent, so they are checked
 #      for schema only: every baseline metric key must still be produced.
 #      Fresh reports are left in the build directory for artifact upload.
+#   3. Harness-bench smoke: bench_fig10_high_corr, bench_fig11_low_corr and
+#      bench_selectivity (the paper-baseline figures, built on the
+#      reproduction harness) run at XRANK_BENCH_SCALE=0.05. Only their exit
+#      status is checked; they carry no baseline.
 #
 #   tools/check_nightly.sh [build-dir]
 #
@@ -39,7 +43,15 @@ done
 echo "=== bench baseline diff ==="
 cmake -B "$DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$DIR" -j "$(nproc)" --target bench_table1_space \
-  --target bench_topk_sweep --target bench_scaling
+  --target bench_topk_sweep --target bench_scaling \
+  --target bench_fig10_high_corr --target bench_fig11_low_corr \
+  --target bench_selectivity
+
+echo "=== harness-bench smoke (XRANK_BENCH_SCALE=0.05) ==="
+for bench in bench_fig10_high_corr bench_fig11_low_corr bench_selectivity; do
+  XRANK_BENCH_SCALE=0.05 "$DIR/bench/$bench" > /dev/null
+  echo "check_nightly: $bench OK"
+done
 
 "$DIR/bench/bench_table1_space" --reorder \
   --json "$DIR/BENCH_table1_space.json" > /dev/null
