@@ -6,13 +6,18 @@
 // small mis-estimation penalty around the DIL/RDIL crossover);
 // Naive-ID is worse than DIL and Naive-Rank worse than RDIL (ancestor
 // replication makes every list longer).
+//
+// `--json <path>` writes each point's mean cost as fig10/kw=<k>/<kind>/io_cost
+// (deterministic cost-model units).
 
 #include "bench_util.h"
 #include "common/string_util.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace xrank;
   using namespace xrank::bench;
+  JsonReport report("fig10_high_corr");
+  report.ParseFlag(argc, argv);
 
   datagen::DblpOptions gen = BenchQueryPerfOptions();
   datagen::Corpus corpus = datagen::GenerateDblp(gen);
@@ -48,6 +53,9 @@ int main() {
       AveragedStats stats = RunQuerySet(indexed.get(), queries, kTopM, kind);
       std::printf(" %12.1f", stats.io_cost);
       wall += StringPrintf(" %7.2f", stats.wall_ms);
+      report.Add(StringPrintf("fig10/kw=%zu/%s/io_cost", keywords,
+                              std::string(index::IndexKindName(kind)).c_str()),
+                 stats.io_cost);
     }
     std::printf("   %s\n", wall.c_str());
   }
@@ -56,5 +64,5 @@ int main() {
       "\nExpected shape (paper Fig. 10): RDIL lowest, HDIL tracking RDIL,\n"
       "DIL flat-but-higher (full scans), Naive-ID > DIL and Naive-Rank >\n"
       "RDIL from ancestor-replicated lists.\n");
-  return 0;
+  return report.Write() ? 0 : 1;
 }

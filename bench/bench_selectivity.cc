@@ -4,12 +4,18 @@
 // only matter for low-selectivity (long-list) keywords. This harness
 // regenerates that evidence using the planted selectivity ladder (term
 // sel<b> occurs in every 4^b-th paper).
+//
+// `--json <path>` writes each pair's cost as
+// selectivity/<term>x<term>/<kind>/io_cost (deterministic cost-model units).
 
 #include "bench_util.h"
+#include "common/string_util.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace xrank;
   using namespace xrank::bench;
+  JsonReport report("selectivity");
+  report.ParseFlag(argc, argv);
 
   datagen::DblpOptions gen = BenchDblpOptions();
   datagen::Corpus corpus = datagen::GenerateDblp(gen);
@@ -40,6 +46,11 @@ int main() {
           index::IndexKind::kHdil}) {
       AveragedStats stats = RunQuerySet(indexed.get(), queries, 10, kind);
       std::printf(" %14.1f", stats.io_cost);
+      report.Add(StringPrintf("selectivity/%sx%s/%s/io_cost",
+                              ladder[b].first.c_str(),
+                              ladder[b + 1].first.c_str(),
+                              std::string(index::IndexKindName(kind)).c_str()),
+                 stats.io_cost);
     }
     std::printf("\n");
   }
@@ -48,5 +59,5 @@ int main() {
               "(deep in the ladder) cost little under every approach — the\n"
               "approaches only separate on long lists, which do not model\n"
               "large document collections well.\n");
-  return 0;
+  return report.Write() ? 0 : 1;
 }

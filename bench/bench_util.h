@@ -129,7 +129,8 @@ struct AveragedStats {
   double random_reads = 0.0;
   double sequential_reads = 0.0;
   double results = 0.0;
-  size_t switched = 0;
+  size_t switched = 0;    // HDIL queries the DIL merge served...
+  size_t up_front = 0;    // ...of which DIL was chosen before any round
   size_t queries = 0;
 };
 
@@ -153,7 +154,10 @@ inline AveragedStats RunQuerySet(
     stats.sequential_reads +=
         static_cast<double>(response->stats.sequential_reads);
     stats.results += static_cast<double>(response->results.size());
-    stats.switched += response->stats.switched_to_dil ? 1 : 0;
+    if (response->stats.switched_to_dil) {
+      ++stats.switched;
+      if (response->stats.rounds == 0) ++stats.up_front;
+    }
     ++stats.queries;
   }
   double n = stats.queries > 0 ? static_cast<double>(stats.queries) : 1.0;

@@ -26,8 +26,9 @@ void Show(IndexedCorpus* indexed, const std::vector<std::string>& keywords,
                 response.status().ToString().c_str());
     return;
   }
+  const char* plan = xrank::query::DilPlanLabel(response->stats);
   std::printf("  %-10s %2zu results, %6llu postings, %4llu rnd + %4llu seq "
-              "reads, cost %8.1f%s\n",
+              "reads, cost %8.1f%s%s%s\n",
               std::string(xrank::index::IndexKindName(kind)).c_str(),
               response->results.size(),
               static_cast<unsigned long long>(
@@ -36,7 +37,7 @@ void Show(IndexedCorpus* indexed, const std::vector<std::string>& keywords,
               static_cast<unsigned long long>(
                   response->stats.sequential_reads),
               response->stats.io_cost,
-              response->stats.switched_to_dil ? " (switched to DIL)" : "");
+              *plan != '\0' ? " (" : "", plan, *plan != '\0' ? ")" : "");
   for (size_t i = 0; i < response->results.size() && i < 3; ++i) {
     const auto& result = response->results[i];
     const xrank::graph::XmlGraph& graph = indexed->graph;

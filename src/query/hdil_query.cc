@@ -46,6 +46,52 @@ void FillIoStats(const storage::CostModel* model, const CostSnapshot& before,
   stats->io_cost = model->TotalCost() - before.cost;
 }
 
+// DIL's cost is predictable a priori (paper Section 4.4.2): the merge scans
+// each keyword's list once, in page order. The first page of a list is a
+// seek and every later page extends that scan, as CostModel::RecordRead
+// charges them on a cold cache.
+double PredictDilCost(const std::vector<const index::TermInfo*>& infos,
+                      const storage::CostModelOptions& weights) {
+  double cost = 0.0;
+  for (const index::TermInfo* info : infos) {
+    if (info->list.page_count == 0) continue;
+    cost += weights.random_read_cost +
+            weights.sequential_read_cost * (info->list.page_count - 1);
+  }
+  return cost;
+}
+
+// A floor under the cost of RDIL mode's first round, one pass over the n
+// rank-prefix lists. Short of a deadline the loop cannot end sooner: the
+// threshold test needs an entry from every list, no prefix of a non-empty
+// list is empty, and no check runs before round 8.
+// The pass reads the first page of each of the n prefix runs (n seeks).
+// Its first entry alone is then probed against the other n - 1 keywords;
+// each probe (HdilLongestCommonPrefix) descends that keyword's sparse
+// B+-tree from its root and reads at least one page of its full list.
+// Counting one seek per probed keyword (small trees may share a root
+// page, so the roots alone are not counted apart) gives n - 1 more. Later
+// probes, inner tree levels and verification scans only add to this.
+double RdilFirstRoundFloor(size_t n, const storage::CostModelOptions& weights) {
+  return weights.random_read_cost * static_cast<double>(2 * n - 1);
+}
+
+// Answers the query with the DIL merge's results, adding its counters to
+// those of the RDIL phase (none when DIL was chosen up front).
+void AdoptDilResponse(QueryResponse dil_response, QueryResponse* response) {
+  response->results = std::move(dil_response.results);
+  QueryStats& stats = response->stats;
+  stats.postings_scanned += dil_response.stats.postings_scanned;
+  stats.pages_skipped += dil_response.stats.pages_skipped;
+  stats.blocks_pruned += dil_response.stats.blocks_pruned;
+  stats.docs_skipped += dil_response.stats.docs_skipped;
+  stats.pivot_advances += dil_response.stats.pivot_advances;
+  stats.block_cache_hits += dil_response.stats.block_cache_hits;
+  stats.algorithm = dil_response.stats.algorithm;
+  stats.switched_to_dil = true;
+  stats.partial = dil_response.stats.partial;
+}
+
 }  // namespace
 
 Result<size_t> HdilLongestCommonPrefix(storage::BufferPool* pool,
@@ -149,6 +195,11 @@ Result<QueryResponse> HdilQueryProcessor::Execute(
   QueryResponse response;
   QueryTrace* trace = options.trace;
   size_t n = keywords.size();
+  auto finish = [&]() {
+    response.stats.wall_ms = timer.ElapsedSeconds() * 1e3;
+    FillIoStats(model, before, &response.stats);
+    return std::move(response);
+  };
 
   std::vector<const index::TermInfo*> infos(n);
   {
@@ -161,9 +212,25 @@ Result<QueryResponse> HdilQueryProcessor::Execute(
       }
     }
   }
+  QueryDeadline deadline(options);
+
+  // Plan choice. When even RDIL's first round costs at least DIL's whole
+  // scan, RDIL cannot win: serve the query with the DIL merge at once.
+  // Such a query reports switched_to_dil with zero rounds, and its DIL
+  // spans nest under dil_direct instead of dil_fallback.
+  const storage::CostModelOptions weights =
+      model != nullptr ? model->options() : storage::CostModelOptions{};
+  const double dil_cost_estimate = PredictDilCost(infos, weights);
+  if (RdilFirstRoundFloor(n, weights) >= dil_cost_estimate) {
+    ScopedSpan span(trace, "dil_direct");
+    XRANK_ASSIGN_OR_RETURN(QueryResponse dil_response,
+                           ExecuteDil(keywords, m, options, &deadline));
+    AdoptDilResponse(std::move(dil_response), &response);
+    return finish();
+  }
+
   std::vector<index::PostingListCursor> rank_cursors;
   rank_cursors.reserve(n);
-  double dil_cost_estimate = 0.0;
   {
     ScopedSpan span(trace, "cursor_open");
     for (size_t k = 0; k < n; ++k) {
@@ -171,11 +238,6 @@ Result<QueryResponse> HdilQueryProcessor::Execute(
           pool_, infos[k]->rank_list,
           lexicon_->ListFormat(*infos[k], /*delta_encode_ids=*/false));
       rank_cursors.back().set_block_cache(block_cache_);
-      // DIL's cost is predictable a priori: a full sequential scan of each
-      // keyword's inverted list (paper Section 4.4.2).
-      double seq_cost =
-          model != nullptr ? model->options().sequential_read_cost : 1.0;
-      dil_cost_estimate += seq_cost * infos[k]->list.page_count;
     }
   }
   std::vector<QueryTrace::TermStats> term_stats(trace != nullptr ? n : 0);
@@ -221,7 +283,6 @@ Result<QueryResponse> HdilQueryProcessor::Execute(
 
   // --- RDIL mode over the rank-ordered prefix lists ---
   ScopedSpan merge_span(trace, "merge");
-  QueryDeadline deadline(options);
   std::vector<double> last_rank(n, std::numeric_limits<double>::infinity());
   size_t next_list = 0;
   bool switch_to_dil = false;
@@ -241,9 +302,17 @@ Result<QueryResponse> HdilQueryProcessor::Execute(
     index::Posting entry;
     XRANK_ASSIGN_OR_RETURN(bool has, rank_cursors[k].Next(&entry));
     if (!has) {
-      // The rank prefix only covers the top fraction of this list: once it
-      // runs dry the threshold cannot drop further, so fall back to DIL
-      // (Section 4.4.2's low-correlation case).
+      // A prefix that holds the keyword's whole list has had every entry's
+      // lcp verified, and every answer contains an occurrence of this
+      // keyword whose lcp is that answer or lies below it: the accumulator
+      // already holds the exact top-m.
+      if (infos[k]->rank_list.entry_count == infos[k]->list.entry_count) {
+        done = true;
+        break;
+      }
+      // A partial prefix only covers the top of its list: once it runs dry
+      // the threshold cannot drop further, so fall back to DIL (Section
+      // 4.4.2's low-correlation case).
       switch_to_dil = true;
       break;
     }
@@ -285,7 +354,8 @@ Result<QueryResponse> HdilQueryProcessor::Execute(
     }
 
     // Adaptive strategy (Section 4.4.2): estimate RDIL's remaining time as
-    // (m - r) * t / r and compare against DIL's predictable full-scan cost.
+    // (m - r) * t / r and compare against DIL's predictable full-scan cost,
+    // the same estimate the plan choice above used.
     // Rounds are split round-robin over n lists, so the interval between
     // checks scales with n to see the same per-list progress.
     // The time t is measured in deterministic cost-model units, the same
@@ -321,34 +391,20 @@ Result<QueryResponse> HdilQueryProcessor::Execute(
   for (const index::PostingListCursor& cursor : rank_cursors) {
     response.stats.block_cache_hits += cursor.block_cache_hits();
   }
-  if (expired) {
-    response.stats.partial = true;
-    ScopedSpan span(trace, "rank");
-    response.results = accumulator.TakeTop();
-  } else if (switch_to_dil) {
+  if (switch_to_dil) {
     // The fallback rescans under the SAME deadline object, so the overall
     // budget is honored even when the switch happens late. Its spans nest
     // under dil_fallback in the trace.
     ScopedSpan span(trace, "dil_fallback");
     XRANK_ASSIGN_OR_RETURN(QueryResponse dil_response,
                            ExecuteDil(keywords, m, options, &deadline));
-    response.results = std::move(dil_response.results);
-    response.stats.postings_scanned += dil_response.stats.postings_scanned;
-    response.stats.pages_skipped += dil_response.stats.pages_skipped;
-    response.stats.blocks_pruned += dil_response.stats.blocks_pruned;
-    response.stats.docs_skipped += dil_response.stats.docs_skipped;
-    response.stats.pivot_advances += dil_response.stats.pivot_advances;
-    response.stats.block_cache_hits += dil_response.stats.block_cache_hits;
-    response.stats.algorithm = dil_response.stats.algorithm;
-    response.stats.switched_to_dil = true;
-    response.stats.partial = dil_response.stats.partial;
+    AdoptDilResponse(std::move(dil_response), &response);
   } else {
     ScopedSpan span(trace, "rank");
     response.results = accumulator.TakeTop();
+    response.stats.partial = expired;
   }
-  response.stats.wall_ms = timer.ElapsedSeconds() * 1e3;
-  FillIoStats(model, before, &response.stats);
-  return response;
+  return finish();
 }
 
 }  // namespace xrank::query

@@ -17,8 +17,11 @@ namespace xrank::query {
 // rank-ordered prefix lists, probing the sparse B+-trees whose leaf level is
 // the full Dewey-ordered list; monitors progress and switches to a full DIL
 // scan when RDIL's estimated remaining time exceeds DIL's predicted cost, or
-// when a rank prefix is exhausted (the prefix no longer bounds unseen
-// ranks).
+// when a partial rank prefix is exhausted (the prefix no longer bounds
+// unseen ranks). A prefix that holds its keyword's whole list ends the
+// query when exhausted, with no rescan. When a floor under RDIL's first
+// round already costs as much as DIL's predicted scan (short lists), the
+// query runs the DIL merge from the start.
 class HdilQueryProcessor {
  public:
   // `block_cache` (optional, borrowed) serves decoded posting pages to the

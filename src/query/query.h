@@ -98,11 +98,20 @@ struct QueryStats {
   // Merge strategy actually run ("daat", "exhaustive", "maxscore", "wand",
   // "bmw"); empty for processors without a strategy choice.
   std::string algorithm;
-  bool switched_to_dil = false;    // HDIL adaptivity outcome
+  // HDIL adaptivity outcome: the DIL merge served the query, either chosen
+  // before any RDIL round (rounds == 0) or switched to mid-run.
+  bool switched_to_dil = false;
   bool threshold_terminated = false;  // TA stopped before exhausting lists
   bool result_cache_hit = false;   // served from the engine's top-k cache
   bool partial = false;            // deadline/cancel cut the scan short
 };
+
+// How the DIL merge came to serve an HDIL query, for display: "DIL chosen
+// up front", "switched to DIL", or "" when RDIL mode answered it.
+inline const char* DilPlanLabel(const QueryStats& stats) {
+  if (!stats.switched_to_dil) return "";
+  return stats.rounds == 0 ? "DIL chosen up front" : "switched to DIL";
+}
 
 struct QueryResponse {
   std::vector<RankedResult> results;  // rank-descending, at most m

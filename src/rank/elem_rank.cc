@@ -371,7 +371,13 @@ Result<ElemRankResult> ComputeElemRank(const XmlGraph& graph,
   std::unique_ptr<ThreadPool> pool;
   if (!legacy) {
     BuildPullCsr(graph, options, navigation, &facts);
-    pool = std::make_unique<ThreadPool>(options.num_threads);
+    // A graph that fits in one chunk (each single-document graph a live
+    // segment ranks, for one) has no work to share: rank it on the calling
+    // thread instead of starting workers. The ranks are the same for every
+    // thread count.
+    bool one_chunk =
+        ThreadPool::NumChunks(0, graph.node_count(), kPullGrain) <= 1;
+    pool = std::make_unique<ThreadPool>(one_chunk ? 1 : options.num_threads);
   }
 
   size_t n = graph.node_count();

@@ -18,7 +18,8 @@ cd "$ROOT"
 
 cmake -B "$DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$DIR" -j "$(nproc)" --target bench_scaling --target bench_micro \
-  --target bench_topk_sweep
+  --target bench_topk_sweep --target bench_selectivity \
+  --target bench_fig10_high_corr
 
 # Micro-benchmark JSON (google-benchmark format + spliced metrics-registry
 # snapshot) rides along as a CI artifact for throughput trajectory tracking,
@@ -159,6 +160,44 @@ TOPK_JSON="$DIR/check_perf_topk.json"
 XRANK_BENCH_SCALE="${XRANK_TOPK_SCALE:-0.1}" \
   "$DIR/bench/bench_topk_sweep" --json "$TOPK_JSON" > /dev/null
 echo "check_perf: disjunctive pruned == exhaustive ids+ranks (topk sweep)"
+
+# HDIL plan-choice gate, in cost-model units (deterministic, so no host
+# calibration): (a) on the selectivity ladder's short dblp lists, where
+# RDIL's first round already costs more than DIL's scan, HDIL's mean
+# io_cost must not exceed DIL's; (b) on Figure 10's correlated keywords
+# over long lists, where RDIL mode runs, HDIL must stay within 5% of
+# RDIL's mean cost.
+SEL_JSON="$DIR/check_perf_selectivity.json"
+FIG10_JSON="$DIR/check_perf_fig10.json"
+"$DIR/bench/bench_selectivity" --json "$SEL_JSON" > /dev/null
+"$DIR/bench/bench_fig10_high_corr" --json "$FIG10_JSON" > /dev/null
+python3 - "$SEL_JSON" "$FIG10_JSON" <<'EOF'
+import json, sys
+
+def mean_cost(path, kind):
+    with open(path) as f:
+        metrics = json.load(f)["metrics"]
+    costs = [v for k, v in metrics.items() if k.endswith(f"/{kind}/io_cost")]
+    if not costs:
+        print(f"check_perf: FAIL — no {kind} io_cost rows in {path}")
+        sys.exit(2)
+    return sum(costs) / len(costs)
+
+sel, fig10 = sys.argv[1], sys.argv[2]
+hdil, dil = mean_cost(sel, "HDIL"), mean_cost(sel, "DIL")
+print(f"check_perf: short lists HDIL {hdil:.1f} vs DIL {dil:.1f} cost units "
+      "(gate: HDIL <= DIL)")
+if hdil > dil:
+    print("check_perf: FAIL — HDIL pays more than DIL on short lists")
+    sys.exit(1)
+hdil, rdil = mean_cost(fig10, "HDIL"), mean_cost(fig10, "RDIL")
+print(f"check_perf: Fig. 10 HDIL {hdil:.1f} vs RDIL {rdil:.1f} cost units "
+      "(gate: HDIL <= 1.05x RDIL)")
+if hdil > 1.05 * rdil:
+    print("check_perf: FAIL — HDIL stopped tracking RDIL on correlated "
+          "long lists")
+    sys.exit(1)
+EOF
 
 JSON="$DIR/check_perf_scaling.json"
 "$DIR/bench/bench_scaling" --json "$JSON"

@@ -256,8 +256,9 @@ void PrintResponse(const EngineResponse& response) {
                 result.rank, result.id.ToString().c_str());
     std::printf("      \"%s\"\n", result.snippet.c_str());
   }
+  const char* plan = xrank::query::DilPlanLabel(response.stats);
   std::printf("  [%llu postings, %llu random + %llu sequential reads, "
-              "%llu blocks pruned, %llu block-cache hits, %.2f ms%s%s]\n",
+              "%llu blocks pruned, %llu block-cache hits, %.2f ms%s%s%s]\n",
               static_cast<unsigned long long>(
                   response.stats.postings_scanned),
               static_cast<unsigned long long>(response.stats.random_reads),
@@ -267,7 +268,7 @@ void PrintResponse(const EngineResponse& response) {
               static_cast<unsigned long long>(
                   response.stats.block_cache_hits),
               response.stats.wall_ms,
-              response.stats.switched_to_dil ? ", switched to DIL" : "",
+              *plan != '\0' ? ", " : "", plan,
               response.stats.result_cache_hit ? ", result-cache hit" : "");
   if (!response.stats.algorithm.empty()) {
     std::printf("  [merge=%s, %llu docs skipped, %llu pivot advances]\n",
