@@ -24,6 +24,7 @@
 #include "query/dewey_stack.h"
 #include "query/dil_query.h"
 #include "query/proximity.h"
+#include "query/result_heap.h"
 #include "storage/btree.h"
 #include "storage/buffer_pool.h"
 #include "storage/cost_model.h"
@@ -383,6 +384,65 @@ void BM_DeweyStackMerge(benchmark::State& state) {
                           static_cast<int64_t>(ids.size()));
 }
 BENCHMARK(BM_DeweyStackMerge);
+
+// Sorted Dewey ids shaped like XMark's: elements nested 6-12 levels deep,
+// where consecutive postings mostly share a long prefix (0-4 levels are
+// popped between them) and a new document starts now and then.
+std::vector<dewey::DeweyId> MakeDeepIds(size_t count, uint64_t seed) {
+  Random rng(seed);
+  std::vector<dewey::DeweyId> ids;
+  ids.reserve(count);
+  std::vector<uint32_t> path = {0};
+  for (size_t i = 0; i < count; ++i) {
+    size_t keep = path.size() > 2 ? path.size() - rng.Uniform(5) : 1;
+    if (keep < 2 || rng.Bernoulli(0.005)) keep = 1;
+    path.resize(keep);
+    ++path.back();  // the next sibling: larger than the whole last subtree
+    const size_t depth = 6 + rng.Uniform(7);
+    while (path.size() < depth) {
+      path.push_back(static_cast<uint32_t>(rng.Uniform(3)));
+    }
+    ids.push_back(dewey::DeweyId(path));
+  }
+  return ids;
+}
+
+// The serving merge on deep ids: 1-3 keywords, disjunctive (every posting's
+// element is a candidate), a fresh bounded top-10 accumulator and merger
+// per iteration as per query, and the final TakeTop. ns_per_posting is
+// the merge's cost per posting; check_perf.sh gates its throughput
+// against the shallow BM_DeweyStackMerge above.
+void BM_DeweyStackMergeDeep(benchmark::State& state) {
+  const size_t keywords = static_cast<size_t>(state.range(0));
+  auto ids = MakeDeepIds(10000, 11);
+  Random rng(12);
+  std::vector<std::pair<size_t, index::Posting>> postings(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    postings[i].first = rng.Uniform(keywords);
+    postings[i].second.id = ids[i];
+    postings[i].second.elem_rank =
+        static_cast<float>(0.001 + rng.Uniform(1000) * 1e-3);
+    postings[i].second.positions = {static_cast<uint32_t>(3 * i)};
+  }
+  query::ScoringOptions scoring;
+  scoring.semantics = query::QuerySemantics::kDisjunctive;
+  for (auto _ : state) {
+    query::TopKAccumulator accumulator(10);
+    query::DeweyStackMerger merger(keywords, scoring, 1, &accumulator);
+    for (const auto& [keyword, posting] : postings) {
+      merger.Add(keyword, posting);
+    }
+    merger.Flush();
+    auto top = accumulator.TakeTop();
+    benchmark::DoNotOptimize(top);
+  }
+  const double total = static_cast<double>(state.iterations()) *
+                       static_cast<double>(postings.size());
+  state.SetItemsProcessed(static_cast<int64_t>(total));
+  state.counters["ns_per_posting"] = benchmark::Counter(
+      total * 1e-9, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_DeweyStackMergeDeep)->DenseRange(1, 3);
 
 // Two-term conjunctive corpus with skewed ElemRanks: both terms occur in
 // every document (document-at-a-time skipping cannot help), the first few

@@ -390,11 +390,10 @@ Result<std::unique_ptr<XRankEngine>> XRankEngine::Build(
   XRANK_RETURN_NOT_OK(engine->PrepareBase(documents, html_documents));
 
   // 3. Posting extraction (shared by every physical index).
-  index::ExtractionOptions extraction = options.extraction;
-  extraction.build_naive = false;
-  XRANK_ASSIGN_OR_RETURN(
-      index::ExtractionResult extracted,
-      index::ExtractPostings(engine->graph_, engine->elem_ranks_, extraction));
+  XRANK_ASSIGN_OR_RETURN(index::ExtractionResult extracted,
+                         index::ExtractPostings(engine->graph_,
+                                                engine->elem_ranks_,
+                                                options.extraction));
 
   // 3b. Optional document reordering (index/reorder.h): permute the global
   // doc ids before any physical index is built. The graph and ElemRank stay
@@ -570,12 +569,10 @@ Result<std::unique_ptr<XRankEngine>> XRankEngine::Open(
   // A reordered engine recomputes its document permutation from the
   // identity-order extraction (the permutation is not persisted).
   if (reorder_id != index::kReorderIdentity) {
-    index::ExtractionOptions extraction = engine->options_.extraction;
-    extraction.build_naive = false;
     XRANK_ASSIGN_OR_RETURN(
         index::ExtractionResult extracted,
         index::ExtractPostings(engine->graph_, engine->elem_ranks_,
-                               extraction));
+                               engine->options_.extraction));
     engine->doc_perm_ = index::ComputeReorderPermutation(
         extracted.dewey_postings, engine->base_doc_count_,
         engine->options_.build.reorder);
@@ -1217,7 +1214,6 @@ Status XRankEngine::CompactDeletionsLocked() {
   auto& failpoints = fail::FailPoints::Instance();
 
   index::ExtractionOptions extraction = options_.extraction;
-  extraction.build_naive = false;
   extraction.exclude_documents = std::move(excluded);
   XRANK_ASSIGN_OR_RETURN(
       index::ExtractionResult extracted,
@@ -1573,6 +1569,7 @@ Result<EngineResponse> XRankEngine::QueryKeywordsSnapshot(
       cached.stats = query::QueryStats{};
       cached.stats.result_cache_hit = true;
       cache_span.End();
+      cached.stats.wall_ms = wall.ElapsedSeconds() * 1e3;
       RecordQueryMetrics(cached.stats);
       if (trace != nullptr) RecordStageMetrics(*trace);
       return cached;
@@ -1702,10 +1699,13 @@ Result<EngineResponse> XRankEngine::QueryKeywordsSnapshot(
   if (use_result_cache && !decorated.stats.partial) {
     result_cache_->Insert(cache_key, decorated);
   }
+  // The reported latency is end to end: normalization, cache lookup, the
+  // processor, segment scans and decoration.
+  decorated.stats.wall_ms = wall.ElapsedSeconds() * 1e3;
   RecordQueryMetrics(decorated.stats);
   if (trace != nullptr) RecordStageMetrics(*trace);
 
-  double wall_ms = wall.ElapsedSeconds() * 1e3;
+  const double wall_ms = decorated.stats.wall_ms;
   if (options_.slow_query_ms != 0 && trace != nullptr &&
       wall_ms >= static_cast<double>(options_.slow_query_ms)) {
     SlowQueryEntry entry;

@@ -379,7 +379,6 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Assemble(
     reorder.algorithm =
         static_cast<index::ReorderAlgorithm>(manifest.reorder_id);
     index::ExtractionOptions extraction = options.engine.extraction;
-    extraction.build_naive = false;
     extraction.exclude_documents.clear();
     XRANK_ASSIGN_OR_RETURN(
         index::ExtractionResult extracted,

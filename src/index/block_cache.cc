@@ -1,6 +1,7 @@
 #include "index/block_cache.h"
 
 #include <algorithm>
+#include <atomic>
 
 namespace xrank::index {
 
@@ -71,7 +72,7 @@ BlockCache::BlockPtr BlockCache::Lookup(const Key& key) {
   return it->second->block;
 }
 
-void BlockCache::Insert(const Key& key, BlockPtr block) {
+void BlockCache::Insert(const Key& key, std::shared_ptr<Block> block) {
   if (shard_capacity_bytes_ == 0 || block == nullptr) return;
   size_t charge = BlockCharge(*block);
   if (charge > shard_capacity_bytes_) return;
@@ -118,13 +119,47 @@ void BlockCache::Insert(const Key& key, BlockPtr block) {
 }
 
 void BlockCache::Clear() {
+  const size_t capacity = shard_capacity_bytes_ * shards_.size();
   for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    registry_bytes_->Add(-static_cast<int64_t>(shard->charged_bytes));
-    shard->charged_bytes = 0;
-    shard->lru.clear();
-    shard->index.clear();
+    std::list<Entry> dropped;
+    {
+      std::lock_guard<std::mutex> lock(shard->mutex);
+      registry_bytes_->Add(-static_cast<int64_t>(shard->charged_bytes));
+      shard->charged_bytes = 0;
+      dropped.swap(shard->lru);
+      shard->index.clear();
+    }
+    // Out of the index, a block with no other owner can gain none: it is
+    // safe to recycle. A block a cursor still pins stays with the cursor.
+    std::lock_guard<std::mutex> lock(spare_mutex_);
+    for (Entry& entry : dropped) {
+      if (entry.block.use_count() != 1 ||
+          spare_bytes_ + entry.charge > capacity) {
+        continue;
+      }
+      // use_count() is a relaxed read; the fence orders the last other
+      // owner's reads of the block before the next decode's writes to it.
+      std::atomic_thread_fence(std::memory_order_acquire);
+      spare_bytes_ += entry.charge;
+      // Insert only accepts mutable blocks; the cache hands out const views.
+      spare_.push_back(Spare{std::const_pointer_cast<Block>(
+                                 std::move(entry.block)),
+                             entry.charge});
+    }
   }
+}
+
+std::shared_ptr<BlockCache::Block> BlockCache::NewBlock() {
+  {
+    std::lock_guard<std::mutex> lock(spare_mutex_);
+    if (!spare_.empty()) {
+      Spare spare = std::move(spare_.back());
+      spare_.pop_back();
+      spare_bytes_ -= spare.charge;
+      return std::move(spare.block);
+    }
+  }
+  return std::make_shared<Block>();
 }
 
 size_t BlockCache::EraseFile(uint64_t file_id) {

@@ -56,10 +56,20 @@ class BlockCache {
   // shard until the shard is back under its byte budget. Blocks larger than
   // a whole shard are not cached at all (they would evict everything for
   // one use).
-  void Insert(const Key& key, BlockPtr block);
+  // Blocks are inserted mutable (NewBlock makes them) so that Clear() may
+  // recycle them; readers only ever see them const.
+  void Insert(const Key& key, std::shared_ptr<Block> block);
 
-  // Drops every entry (writer-side wholesale invalidation).
+  // Drops every entry (writer-side wholesale invalidation, and the
+  // engine's cold-cache mode before each query).
   void Clear();
+
+  // A block to decode a missed page into. Blocks that Clear() dropped and
+  // no reader still pins are kept, up to the cache's byte capacity, and
+  // handed out here before any fresh one: decoding into a recycled block
+  // reuses its postings' buffers, so after a cold-cache Clear the next
+  // query's misses decode without allocating.
+  std::shared_ptr<Block> NewBlock();
 
   // Drops only the entries of one page file — the per-segment invalidation
   // the live-update path uses when a flush or compaction retires a segment:
@@ -114,6 +124,14 @@ class BlockCache {
 
   size_t shard_capacity_bytes_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
+  // Cleared, unpinned blocks awaiting reuse by NewBlock.
+  struct Spare {
+    std::shared_ptr<Block> block;
+    size_t charge = 0;
+  };
+  std::mutex spare_mutex_;
+  std::vector<Spare> spare_;
+  size_t spare_bytes_ = 0;
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> lookups_{0};
   std::atomic<uint64_t> insertions_{0};

@@ -105,22 +105,40 @@ void EncodeVarintPosting(const Posting& posting,
   }
 }
 
-Result<Posting> DecodeVarintPosting(std::string_view data, size_t* offset,
-                                    const dewey::DeweyId* previous,
-                                    const PostingFormat& format) {
-  Posting posting;
+// Decodes one posting into `*out` in place: the id, rank and positions
+// overwrite the posting's existing buffers, so a recycled page buffer
+// decodes without allocating. `previous` is the page's prior id when ids
+// are prefix-delta encoded (a raw id has the same shape with lcp 0);
+// `suffix` is reused scratch.
+Status DecodeVarintPosting(std::string_view data, size_t* offset,
+                           const dewey::DeweyId* previous,
+                           const PostingFormat& format,
+                           std::vector<uint32_t>* suffix, Posting* out) {
+  uint32_t lcp = 0;
   if (previous != nullptr) {
-    XRANK_ASSIGN_OR_RETURN(posting.id,
-                           dewey::DecodeDeweyIdDelta(*previous, data, offset));
-  } else {
-    XRANK_ASSIGN_OR_RETURN(posting.id, dewey::DecodeDeweyId(data, offset));
+    XRANK_ASSIGN_OR_RETURN(lcp, GetVarint32(data, offset));
+    if (lcp > previous->depth()) {
+      return Status::Corruption("Dewey delta lcp exceeds previous depth");
+    }
   }
+  XRANK_ASSIGN_OR_RETURN(uint32_t suffix_len, GetVarint32(data, offset));
+  // Every component takes at least one byte.
+  if (suffix_len > kMaxDeweyDepth || suffix_len > data.size() - *offset) {
+    return Status::Corruption("absurd Dewey depth");
+  }
+  suffix->resize(suffix_len);
+  for (uint32_t i = 0; i < suffix_len; ++i) {
+    XRANK_ASSIGN_OR_RETURN((*suffix)[i], GetVarint32(data, offset));
+  }
+  out->id.AssignParts(
+      previous != nullptr ? previous->components().data() : nullptr, lcp,
+      suffix->data(), suffix_len);
   size_t rank_bytes = RankEncodedBytes(format.ranks);
   if (*offset + rank_bytes > data.size()) {
     return Status::Corruption("truncated posting rank");
   }
   XRANK_ASSIGN_OR_RETURN(
-      posting.elem_rank,
+      out->elem_rank,
       DecodeRankBytes(reinterpret_cast<const uint8_t*>(data.data()) + *offset,
                       format));
   *offset += rank_bytes;
@@ -128,14 +146,14 @@ Result<Posting> DecodeVarintPosting(std::string_view data, size_t* offset,
   if (count > kMaxPositionsPerPosting) {
     return Status::Corruption("posting position count out of range");
   }
-  posting.positions.reserve(count);
+  out->positions.resize(count);
   uint32_t position = 0;
   for (uint32_t i = 0; i < count; ++i) {
     XRANK_ASSIGN_OR_RETURN(uint32_t delta, GetVarint32(data, offset));
     position += delta;
-    posting.positions.push_back(position);
+    out->positions[i] = position;
   }
-  return posting;
+  return Status::OK();
 }
 
 class VarintPageEncoder final : public PostingPageEncoder {
@@ -192,18 +210,20 @@ class VarintPostingCodec final : public PostingCodec {
   Status DecodePage(const storage::Page& page, const PostingFormat& format,
                     std::vector<Posting>* out) const override {
     uint16_t count = page.ReadU16(0);
-    out->clear();
-    out->reserve(count);
+    // No clear() before the resize: surviving slots keep their buffers, so
+    // a recycled *out decodes without allocating (as the block codecs do).
+    out->resize(count);
     size_t offset = kListPageHeaderSize;
-    dewey::DeweyId previous;
+    std::vector<uint32_t> suffix;
     for (uint16_t i = 0; i < count; ++i) {
       const dewey::DeweyId* prev =
-          (format.delta_encode_ids && i > 0) ? &previous : nullptr;
-      XRANK_ASSIGN_OR_RETURN(
-          Posting posting, DecodeVarintPosting(page.view(), &offset, prev,
-                                               format));
-      previous = posting.id;
-      out->push_back(std::move(posting));
+          (format.delta_encode_ids && i > 0) ? &(*out)[i - 1].id : nullptr;
+      Status status = DecodeVarintPosting(page.view(), &offset, prev, format,
+                                          &suffix, &(*out)[i]);
+      if (!status.ok()) {
+        out->clear();
+        return status;
+      }
     }
     return Status::OK();
   }

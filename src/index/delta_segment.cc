@@ -130,7 +130,6 @@ Result<std::shared_ptr<LiveSegment>> BuildLiveSegment(
   XRANK_RETURN_NOT_OK(BuildSegmentState(documents, options, segment.get()));
 
   ExtractionOptions extraction = options.extraction;
-  extraction.build_naive = false;  // segments serve through DIL only
   extraction.exclude_documents.clear();
   XRANK_ASSIGN_OR_RETURN(
       ExtractionResult extracted,

@@ -48,9 +48,10 @@ enum class RankSource {
 struct ExtractionOptions {
   AnalyzerOptions analyzer;
   RankSource rank_source = RankSource::kElemRank;
-  // Also produce element-granularity postings with replicated ancestors
-  // (required by the two naive baselines; skip to save memory).
-  bool build_naive = true;
+  // Also produce element-granularity postings with replicated ancestors.
+  // Only the two naive baselines read them (harness/indexed_corpus.h turns
+  // this on for them); the serving engine never does.
+  bool build_naive = false;
   // Document indexes to skip entirely. Used by document-granularity
   // deletion (paper Section 4.5): a compaction re-extracts postings with
   // the deleted documents masked out and rebuilds the physical indexes.

@@ -156,11 +156,11 @@ Status PostingListCursor::LoadPage() {
       // read-only.
       XRANK_RETURN_NOT_OK(
           pool_->Read(extent_.first_page + page_index_, &page_));
-      auto block = std::make_shared<std::vector<Posting>>();
+      std::shared_ptr<BlockCache::Block> block = block_cache_->NewBlock();
       XRANK_RETURN_NOT_OK(
           format_.codec->DecodePage(page_, format_, block.get()));
-      cached_block_ = std::move(block);
-      block_cache_->Insert(key, cached_block_);
+      cached_block_ = block;
+      block_cache_->Insert(key, std::move(block));
     }
     block_ = cached_block_.get();
   } else {
@@ -184,6 +184,14 @@ Status PostingListCursor::SeekToPage(uint32_t page_index) {
 }
 
 Result<bool> PostingListCursor::Next(Posting* out) {
+  const Posting* next = nullptr;
+  XRANK_ASSIGN_OR_RETURN(bool has, Next(&next));
+  if (has) *out = *next;
+  return has;
+}
+
+Result<bool> PostingListCursor::Next(const Posting** out) {
+  *out = nullptr;
   for (;;) {
     if (!page_loaded_) {
       if (page_index_ >= extent_.page_count) return false;
@@ -197,7 +205,7 @@ Result<bool> PostingListCursor::Next(Posting* out) {
       if (page_index_ >= extent_.page_count) return false;
       continue;
     }
-    *out = (*block_)[entry_index_];
+    *out = &(*block_)[entry_index_];
     ++entry_index_;
     return true;
   }

@@ -87,6 +87,11 @@ class PostingListCursor {
   // Reads the next posting; returns false at end of list.
   Result<bool> Next(Posting* out);
 
+  // Points `*out` at the next posting in place, without copying it; it
+  // stays valid until this cursor moves again (the page's block is pinned
+  // until then). Returns false, with `*out` null, at end of list.
+  Result<bool> Next(const Posting** out);
+
   bool AtEnd() const;
 
   // Repositions at the start of the list page with the given index within

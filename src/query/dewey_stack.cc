@@ -1,11 +1,24 @@
 #include "query/dewey_stack.h"
 
 #include <algorithm>
+#include <limits>
+#include <span>
 
 #include "common/check.h"
-#include "query/proximity.h"
 
 namespace xrank::query {
+
+DeweyStackMerger::DeweyStackMerger(size_t num_keywords,
+                                   const ScoringOptions& scoring,
+                                   size_t min_result_depth,
+                                   TopKAccumulator* accumulator)
+    : num_keywords_(num_keywords),
+      scoring_(scoring),
+      min_result_depth_(std::max<size_t>(min_result_depth, 1)),
+      accumulator_(accumulator) {
+  XRANK_CHECK(num_keywords_ > 0, "merger needs at least one keyword");
+  XRANK_CHECK(accumulator_ != nullptr, "merger needs an accumulator");
+}
 
 DeweyStackMerger::DeweyStackMerger(size_t num_keywords,
                                    const ScoringOptions& scoring,
@@ -17,23 +30,76 @@ DeweyStackMerger::DeweyStackMerger(size_t num_keywords,
   XRANK_CHECK(num_keywords_ > 0, "merger needs at least one keyword");
 }
 
-DeweyStackMerger::Frame DeweyStackMerger::MakeFrame(
-    uint32_t component) const {
-  Frame frame;
-  frame.component = component;
-  frame.positions.resize(num_keywords_);
-  frame.ranks.assign(num_keywords_, 0.0);
-  return frame;
+void DeweyStackMerger::PushFrame(uint32_t component) {
+  const size_t depth = path_.size();
+  path_.push_back(component);
+  if (flags_.size() <= depth) {
+    flags_.resize(depth + 1);
+    ranks_.resize((depth + 1) * num_keywords_);
+    positions_.resize((depth + 1) * num_keywords_);
+  }
+  flags_[depth] = FrameFlags{};
+}
+
+void DeweyStackMerger::Touch(size_t depth) {
+  if (flags_[depth].touched) return;
+  flags_[depth].touched = true;
+  const size_t base = depth * num_keywords_;
+  std::fill_n(ranks_.begin() + base, num_keywords_, 0.0);
+  for (size_t k = 0; k < num_keywords_; ++k) positions_[base + k].clear();
+}
+
+void DeweyStackMerger::Emit(size_t present) {
+  const size_t depth = path_.size();
+  const size_t base = (depth - 1) * num_keywords_;
+  std::span<const double> ranks(ranks_.data() + base, num_keywords_);
+  std::span<const std::vector<uint32_t>> positions(positions_.data() + base,
+                                                   num_keywords_);
+  if (callback_) {
+    CandidateResult candidate;
+    candidate.id = dewey::DeweyId(path_);
+    candidate.keyword_ranks.assign(ranks.begin(), ranks.end());
+    // Under disjunctive semantics the window covers only the keywords
+    // that are present.
+    candidate.window = MinimalWindowSizeOfPresent(positions, &window_scratch_);
+    double proximity =
+        ProximityFromWindow(scoring_.proximity, candidate.window, present);
+    candidate.overall_rank = CombineRanks(ranks, proximity);
+    callback_(candidate);
+    return;
+  }
+  // Proximity is at most 1, so the keyword-rank sum bounds the rank (and
+  // sum·p rounds to at most sum): below the local m-th rank, neither the
+  // window nor the id is worth building. A seen-tracking accumulator must
+  // record every evaluated element (RDIL / HDIL skip re-verifying them),
+  // so it is offered all of them.
+  const double bar = accumulator_->tracks_seen()
+                         ? -std::numeric_limits<double>::infinity()
+                         : accumulator_->LocalKthRank();
+  const double sum = SumRanks(ranks);
+  if (sum < bar) return;
+  double proximity = 1.0;
+  if (scoring_.proximity != ProximityMode::kAlwaysOne) {
+    uint32_t window = MinimalWindowSizeOfPresent(positions, &window_scratch_);
+    proximity = ProximityFromWindow(scoring_.proximity, window, present);
+  }
+  const double rank = sum * proximity;
+  if (rank < bar) return;
+  candidate_id_.AssignComponents(path_.data(), path_.size());
+  accumulator_->Add(candidate_id_, rank);
 }
 
 void DeweyStackMerger::PopFrame() {
-  Frame frame = std::move(stack_.back());
-  stack_.pop_back();
-  size_t depth = path_.size();
+  const size_t depth = path_.size();
+  const size_t base = (depth - 1) * num_keywords_;
+  FrameFlags& frame = flags_[depth - 1];
 
+  // An untouched frame holds nothing: it neither qualifies nor propagates.
   size_t present = 0;
-  for (size_t k = 0; k < num_keywords_; ++k) {
-    if (!frame.positions[k].empty()) ++present;
+  if (frame.touched) {
+    for (size_t k = 0; k < num_keywords_; ++k) {
+      if (!positions_[base + k].empty()) ++present;
+    }
   }
   bool qualifies =
       scoring_.semantics == QuerySemantics::kConjunctive
@@ -44,42 +110,26 @@ void DeweyStackMerger::PopFrame() {
     // Figure 5 lines 15-18: the element contains every keyword
     // (conjunctive) / at least one keyword (disjunctive).
     frame.contains_all = true;
-    if (depth >= min_result_depth_) {
-      CandidateResult candidate;
-      candidate.id = dewey::DeweyId(path_);
-      candidate.keyword_ranks = frame.ranks;
-      // Under disjunctive semantics the window covers only the keywords
-      // that are present.
-      std::vector<std::vector<uint32_t>> windows;
-      windows.reserve(present);
-      for (const auto& positions : frame.positions) {
-        if (!positions.empty()) windows.push_back(positions);
-      }
-      candidate.window = MinimalWindowSize(windows);
-      double proximity = ProximityFromWindow(scoring_.proximity,
-                                             candidate.window, present);
-      candidate.overall_rank = CombineRanks(frame.ranks, proximity);
-      callback_(candidate);
-    }
-  } else if (!frame.contains_all && !stack_.empty()) {
+    if (depth >= min_result_depth_) Emit(present);
+  } else if (frame.touched && !frame.contains_all && depth > 1) {
     // Lines 19-22: partial occurrences flow into the parent with one level
     // of decay; position lists accumulate.
-    Frame& parent = stack_.back();
+    Touch(depth - 2);
+    const size_t parent = base - num_keywords_;
     for (size_t k = 0; k < num_keywords_; ++k) {
-      if (frame.ranks[k] > 0.0) {
-        parent.ranks[k] = AggregateRank(scoring_.aggregation, parent.ranks[k],
-                                        frame.ranks[k] * scoring_.decay);
+      if (ranks_[base + k] > 0.0) {
+        ranks_[parent + k] =
+            AggregateRank(scoring_.aggregation, ranks_[parent + k],
+                          ranks_[base + k] * scoring_.decay);
       }
-      parent.positions[k].insert(parent.positions[k].end(),
-                                 frame.positions[k].begin(),
-                                 frame.positions[k].end());
+      const std::vector<uint32_t>& from = positions_[base + k];
+      positions_[parent + k].insert(positions_[parent + k].end(),
+                                    from.begin(), from.end());
     }
   }
   // Line 23: an element in R0 poisons its ancestors' propagation — their
   // occurrences via this subtree are excluded (Section 2.2's c ∉ R0).
-  if (frame.contains_all && !stack_.empty()) {
-    stack_.back().contains_all = true;
-  }
+  if (frame.contains_all && depth > 1) flags_[depth - 2].contains_all = true;
   path_.pop_back();
 }
 
@@ -97,28 +147,24 @@ void DeweyStackMerger::Add(size_t keyword_index,
   while (lcp < limit && path_[lcp] == id.component(lcp)) ++lcp;
 
   // Pop the non-matching tail (lines 12-24).
-  while (stack_.size() > lcp) PopFrame();
+  while (path_.size() > lcp) PopFrame();
 
   // Push the non-matching part of the new ID (lines 25-28).
-  for (size_t i = lcp; i < id.depth(); ++i) {
-    stack_.push_back(MakeFrame(id.component(i)));
-    path_.push_back(id.component(i));
-  }
+  for (size_t i = lcp; i < id.depth(); ++i) PushFrame(id.component(i));
 
   // Lines 29-31: attach this posting's rank and positions to the top frame.
-  Frame& top = stack_.back();
-  top.ranks[keyword_index] =
-      AggregateRank(scoring_.aggregation, top.ranks[keyword_index],
-                    static_cast<double>(posting.elem_rank));
-  top.positions[keyword_index].insert(top.positions[keyword_index].end(),
-                                      posting.positions.begin(),
-                                      posting.positions.end());
+  Touch(path_.size() - 1);
+  const size_t slot = (path_.size() - 1) * num_keywords_ + keyword_index;
+  ranks_[slot] = AggregateRank(scoring_.aggregation, ranks_[slot],
+                               static_cast<double>(posting.elem_rank));
+  positions_[slot].insert(positions_[slot].end(), posting.positions.begin(),
+                          posting.positions.end());
 }
 
 void DeweyStackMerger::Flush() {
   if (flushed_) return;
   flushed_ = true;
-  while (!stack_.empty()) PopFrame();
+  while (!path_.empty()) PopFrame();
 }
 
 }  // namespace xrank::query

@@ -150,12 +150,10 @@ Result<QueryResponse> DilQueryProcessor::Execute(
     accumulator.AttachShared(options.shared_threshold);
   }
   DeweyStackMerger merger(keywords.size(), scoring_, /*min_result_depth=*/1,
-                          [&](const CandidateResult& candidate) {
-                            accumulator.Add(candidate.id,
-                                            candidate.overall_rank);
-                          });
+                          &accumulator);
 
-  std::vector<index::Posting> current(cursors.size());
+  // Each cursor's current posting, in place in its pinned page.
+  std::vector<const index::Posting*> current(cursors.size(), nullptr);
   std::vector<bool> live(cursors.size(), false);
   std::vector<PostingCursor::RankBound> bounds(cursors.size());
   PruningCounters counters;
@@ -216,18 +214,18 @@ Result<QueryResponse> DilQueryProcessor::Execute(
             any_dead = true;
             break;
           }
-          target = std::max(target, current[k].id.document_id());
+          target = std::max(target, current[k]->id.document_id());
         }
         if (any_dead) break;
 
         bool aligned = true;
         for (size_t k = 0; k < cursors.size(); ++k) {
-          if (current[k].id.document_id() >= target) continue;
+          if (current[k]->id.document_id() >= target) continue;
           XRANK_ASSIGN_OR_RETURN(
               bool has, cursors[k].SkipToDocument(target, &current[k]));
           live[k] = has;
           ++counters.pivot_advances;
-          if (!has || current[k].id.document_id() > target) aligned = false;
+          if (!has || current[k]->id.document_id() > target) aligned = false;
         }
         if (!aligned) continue;  // frontier moved — recompute it
 
@@ -311,14 +309,14 @@ Result<QueryResponse> DilQueryProcessor::Execute(
         for (;;) {
           size_t smallest = cursors.size();
           for (size_t k = 0; k < cursors.size(); ++k) {
-            if (!live[k] || current[k].id.document_id() != target) continue;
+            if (!live[k] || current[k]->id.document_id() != target) continue;
             if (smallest == cursors.size() ||
-                current[k].id < current[smallest].id) {
+                current[k]->id < current[smallest]->id) {
               smallest = k;
             }
           }
           if (smallest == cursors.size()) break;  // document fully merged
-          merger.Add(slots[smallest], current[smallest]);
+          merger.Add(slots[smallest], *current[smallest]);
           XRANK_ASSIGN_OR_RETURN(bool has,
                                  cursors[smallest].Next(&current[smallest]));
           live[smallest] = has;
@@ -333,12 +331,12 @@ Result<QueryResponse> DilQueryProcessor::Execute(
         for (size_t k = 0; k < cursors.size(); ++k) {
           if (!live[k]) continue;
           if (smallest == cursors.size() ||
-              current[k].id < current[smallest].id) {
+              current[k]->id < current[smallest]->id) {
             smallest = k;
           }
         }
         if (smallest == cursors.size()) break;  // all lists exhausted
-        merger.Add(slots[smallest], current[smallest]);
+        merger.Add(slots[smallest], *current[smallest]);
         XRANK_ASSIGN_OR_RETURN(bool has,
                                cursors[smallest].Next(&current[smallest]));
         live[smallest] = has;

@@ -242,7 +242,7 @@ Result<QueryResponse> HdilQueryProcessor::Execute(
   }
   std::vector<QueryTrace::TermStats> term_stats(trace != nullptr ? n : 0);
 
-  TopKAccumulator accumulator(m);
+  TopKAccumulator accumulator(m, /*track_seen=*/true);
   if (options.shared_threshold != nullptr) {
     accumulator.AttachShared(options.shared_threshold);
   }
@@ -271,10 +271,7 @@ Result<QueryResponse> HdilQueryProcessor::Execute(
       return a.keyword < b.keyword;
     });
     DeweyStackMerger merger(n, scoring_, /*min_result_depth=*/lcp.depth(),
-                            [&](const CandidateResult& candidate) {
-                              accumulator.Add(candidate.id,
-                                              candidate.overall_rank);
-                            });
+                            &accumulator);
     for (const Hit& hit : hits) merger.Add(hit.keyword, hit.posting);
     merger.Flush();
     accumulator.MarkSeen(lcp);

@@ -231,7 +231,7 @@ Result<QueryResponse> NaiveRankQueryProcessor::Execute(
   }
   std::vector<QueryTrace::TermStats> term_stats(trace != nullptr ? n : 0);
 
-  TopKAccumulator accumulator(m);
+  TopKAccumulator accumulator(m, /*track_seen=*/true);
   if (options.shared_threshold != nullptr) {
     accumulator.AttachShared(options.shared_threshold);
   }

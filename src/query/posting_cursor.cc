@@ -79,13 +79,14 @@ double PostingCursor::NextPageRank(const RankBound& bound) const {
   return SafeBlockMax((*skips_)[bound.end_index].max_rank);
 }
 
-Result<bool> PostingCursor::Next(index::Posting* out) {
+Result<bool> PostingCursor::Next(const index::Posting** out) {
   XRANK_ASSIGN_OR_RETURN(bool has, cursor_.Next(out));
   if (has) ++postings_read_;
   return has;
 }
 
-Result<bool> PostingCursor::SkipToDocument(uint32_t doc, index::Posting* out) {
+Result<bool> PostingCursor::SkipToDocument(uint32_t doc,
+                                           const index::Posting** out) {
   if (skips_ != nullptr && !skips_->empty()) {
     // Last page whose first ID precedes document `doc`. Every earlier page
     // holds only postings < that page's first ID <= all ids with document
@@ -113,7 +114,7 @@ Result<bool> PostingCursor::SkipToDocument(uint32_t doc, index::Posting* out) {
     XRANK_ASSIGN_OR_RETURN(bool has, cursor_.Next(out));
     if (!has) return false;
     ++postings_read_;
-    if (out->id.document_id() >= doc) return true;
+    if ((*out)->id.document_id() >= doc) return true;
   }
 }
 

@@ -42,14 +42,17 @@ class PostingCursor {
                 const index::TermInfo* info, bool use_skip_blocks,
                 index::BlockCache* block_cache = nullptr);
 
-  // Reads the next posting in list order; returns false at end of list.
-  Result<bool> Next(index::Posting* out);
+  // Points `*out` at the next posting in list order, in place: it stays
+  // valid until this cursor moves again. Returns false (`*out` null) at
+  // end of list.
+  Result<bool> Next(const index::Posting** out);
 
   // Advances to the first posting whose document id (first Dewey component)
   // is >= `doc`, discarding everything before it without feeding it to the
-  // merge. Returns false if the list has no such posting. Forward-only:
-  // `doc` must be >= the document id last returned.
-  Result<bool> SkipToDocument(uint32_t doc, index::Posting* out);
+  // merge, and points `*out` at it as Next does. Returns false if the list
+  // has no such posting. Forward-only: `doc` must be >= the document id
+  // last returned.
+  Result<bool> SkipToDocument(uint32_t doc, const index::Posting** out);
 
   // --- block-max pruning (see DESIGN.md section 11) ---
   //

@@ -10,24 +10,40 @@ uint32_t MinimalWindowSize(
   for (const auto& list : position_lists) {
     if (list.empty()) return 0;
   }
-  // Merge all positions into (position, list) events and slide a window
-  // that keeps at least one event per list.
-  std::vector<std::pair<uint32_t, uint32_t>> events;
+  WindowScratch scratch;
+  return MinimalWindowSizeOfPresent(position_lists, &scratch);
+}
+
+uint32_t MinimalWindowSizeOfPresent(
+    std::span<const std::vector<uint32_t>> position_lists,
+    WindowScratch* scratch) {
+  size_t present = 0;
   size_t total = 0;
-  for (const auto& list : position_lists) total += list.size();
+  for (const auto& list : position_lists) {
+    if (list.empty()) continue;
+    ++present;
+    total += list.size();
+  }
+  if (present == 0) return 0;
+  if (present == 1) return 1;  // any single position is a window
+  // Merge all positions into (position, list) events and slide a window
+  // that keeps at least one event per non-empty list.
+  auto& events = scratch->events;
+  events.clear();
   events.reserve(total);
   for (uint32_t k = 0; k < position_lists.size(); ++k) {
     for (uint32_t pos : position_lists[k]) events.emplace_back(pos, k);
   }
   std::sort(events.begin(), events.end());
 
-  std::vector<uint32_t> counts(position_lists.size(), 0);
+  auto& counts = scratch->counts;
+  counts.assign(position_lists.size(), 0);
   size_t covered = 0;
   size_t left = 0;
   uint32_t best = UINT32_MAX;
   for (size_t right = 0; right < events.size(); ++right) {
     if (counts[events[right].second]++ == 0) ++covered;
-    while (covered == position_lists.size()) {
+    while (covered == present) {
       best = std::min(best, events[right].first - events[left].first + 1);
       if (--counts[events[left].second] == 0) --covered;
       ++left;

@@ -94,6 +94,9 @@ struct QueryStats {
   uint64_t sequential_reads = 0;
   uint64_t random_reads = 0;
   double io_cost = 0.0;            // weighted cost-model units
+  // A processor reports its own execution time; XRankEngine::Query and
+  // ShardRouter::Query overwrite it with the end-to-end latency (cache
+  // lookup, segment scans and decoration included; > 0 on a cache hit).
   double wall_ms = 0.0;
   // Merge strategy actually run ("daat", "exhaustive", "maxscore", "wand",
   // "bmw"); empty for processors without a strategy choice.

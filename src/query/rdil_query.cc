@@ -88,7 +88,7 @@ Result<QueryResponse> RdilQueryProcessor::Execute(
   }
   std::vector<QueryTrace::TermStats> term_stats(trace != nullptr ? n : 0);
 
-  TopKAccumulator accumulator(m);
+  TopKAccumulator accumulator(m, /*track_seen=*/true);
   if (options.shared_threshold != nullptr) {
     accumulator.AttachShared(options.shared_threshold);
   }
@@ -126,10 +126,7 @@ Result<QueryResponse> RdilQueryProcessor::Execute(
       return a.keyword < b.keyword;
     });
     DeweyStackMerger merger(n, scoring_, /*min_result_depth=*/lcp.depth(),
-                            [&](const CandidateResult& candidate) {
-                              accumulator.Add(candidate.id,
-                                              candidate.overall_rank);
-                            });
+                            &accumulator);
     for (const Hit& hit : hits) merger.Add(hit.keyword, hit.posting);
     merger.Flush();
     // Whether or not lcp qualified, never verify it again (Figure 7

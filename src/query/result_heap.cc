@@ -1,49 +1,74 @@
 #include "query/result_heap.h"
 
 #include <algorithm>
-#include <limits>
+
+#include "common/check.h"
 
 namespace xrank::query {
 
-bool TopKAccumulator::Add(const dewey::DeweyId& id, double rank) {
-  seen_[id] = true;
-  auto [it, inserted] = ranks_by_id_.emplace(id, rank);
-  if (inserted) {
-    ranks_desc_.insert(rank);
-    if (shared_ != nullptr) shared_->Raise(LocalKthRank());
-    return true;
-  }
-  if (rank > it->second) {
-    ranks_desc_.erase(ranks_desc_.find(it->second));
-    ranks_desc_.insert(rank);
-    it->second = rank;
-    if (shared_ != nullptr) shared_->Raise(LocalKthRank());
-  }
-  return false;
+namespace {
+
+// Result order: rank descending, then id ascending.
+bool Better(const RankedResult& a, const RankedResult& b) {
+  if (a.rank != b.rank) return a.rank > b.rank;
+  return a.id < b.id;
 }
 
-void TopKAccumulator::MarkSeen(const dewey::DeweyId& id) { seen_[id] = true; }
+}  // namespace
+
+void TopKAccumulator::Add(const dewey::DeweyId& id, double rank) {
+  // Without seen-tracking any id may be a repeat; with it, only one the
+  // set already holds.
+  bool maybe_repeat = !track_seen_ || !seen_.insert(id).second;
+  if (m_ == 0) return;
+  const bool full = heap_.size() == m_;
+  if (full) {
+    const RankedResult& worst = heap_.front();
+    if (rank < worst.rank || (rank == worst.rank && !(id < worst.id))) {
+      return;  // not admitted; a kept copy of `id` already ranks higher
+    }
+  }
+  if (maybe_repeat) {
+    for (RankedResult& entry : heap_) {
+      if (entry.id != id) continue;
+      if (rank > entry.rank) {
+        entry.rank = rank;
+        std::make_heap(heap_.begin(), heap_.end(), Better);
+        if (shared_ != nullptr && full) shared_->Raise(heap_.front().rank);
+      }
+      return;
+    }
+  }
+  if (full) {
+    // Replace the worst entry in place, reusing its id's storage.
+    std::pop_heap(heap_.begin(), heap_.end(), Better);
+    heap_.back().id = id;
+    heap_.back().rank = rank;
+  } else {
+    heap_.push_back(RankedResult{id, rank});
+  }
+  std::push_heap(heap_.begin(), heap_.end(), Better);
+  if (shared_ != nullptr && heap_.size() == m_) {
+    shared_->Raise(heap_.front().rank);
+  }
+}
+
+void TopKAccumulator::MarkSeen(const dewey::DeweyId& id) {
+  XRANK_DCHECK(track_seen_, "MarkSeen needs seen-tracking");
+  seen_.insert(id);
+}
 
 bool TopKAccumulator::Contains(const dewey::DeweyId& id) const {
-  return seen_.find(id) != seen_.end();
+  XRANK_DCHECK(track_seen_, "Contains needs seen-tracking");
+  return seen_.count(id) > 0;
 }
 
 size_t TopKAccumulator::CountAtLeast(double threshold) const {
   size_t count = 0;
-  for (double rank : ranks_desc_) {
-    if (rank < threshold || count >= m_) break;
-    ++count;
+  for (const RankedResult& entry : heap_) {
+    if (entry.rank >= threshold) ++count;
   }
   return count;
-}
-
-double TopKAccumulator::LocalKthRank() const {
-  if (m_ == 0 || ranks_desc_.size() < m_) {
-    return -std::numeric_limits<double>::infinity();
-  }
-  auto it = ranks_desc_.begin();
-  std::advance(it, m_ - 1);
-  return *it;
 }
 
 double TopKAccumulator::KthRank() const {
@@ -56,17 +81,8 @@ double TopKAccumulator::KthRank() const {
 }
 
 std::vector<RankedResult> TopKAccumulator::TakeTop() const {
-  std::vector<RankedResult> results;
-  results.reserve(ranks_by_id_.size());
-  for (const auto& [id, rank] : ranks_by_id_) {
-    results.push_back(RankedResult{id, rank});
-  }
-  std::sort(results.begin(), results.end(),
-            [](const RankedResult& a, const RankedResult& b) {
-              if (a.rank != b.rank) return a.rank > b.rank;
-              return a.id < b.id;
-            });
-  if (results.size() > m_) results.resize(m_);
+  std::vector<RankedResult> results = heap_;
+  std::sort(results.begin(), results.end(), Better);
   return results;
 }
 

@@ -5,8 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <set>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "dewey/dewey_id.h"
@@ -52,15 +51,31 @@ class SharedTopKThreshold {
   std::atomic<uint64_t> raises_{0};
 };
 
-// Accumulates query-result candidates and answers the two questions the
-// algorithms ask: "have we already evaluated this element?" (RDIL line 18)
-// and "do at least m candidates beat the current threshold?" (the TA
-// stopping condition, RDIL lines 26-28). Keeps every candidate — the paper
-// sizes the heap "greater than m" because low-ranked candidates can enter
-// the final top-m once the threshold drops.
+// Accumulates query-result candidates into a bounded top-m: an m-entry
+// heap ordered by rank descending, then Dewey id ascending (the order
+// TakeTop returns). Answers the questions the algorithms ask: "what is the
+// current m-th best rank?" (the pruning threshold θ), "do at least m
+// candidates beat a threshold?" (the TA stopping condition, RDIL lines
+// 26-28) and, when seen-tracking is on, "have we already evaluated this
+// element?" (RDIL line 18).
+//
+// Admission rule: a candidate enters only if the heap has room or it beats
+// the m-th entry — a higher rank, or an equal rank and a smaller id. Ties
+// at the m-th rank therefore pass the rank test and are decided by id, so
+// the kept set is exactly the first m of every candidate sorted by (rank
+// desc, id asc). A candidate that loses can never come back: the m-th
+// entry only improves. An id offered again keeps its higher rank; an id
+// evicted earlier and offered again with a higher rank competes afresh
+// (its evicted rank was already below the m-th). The result is the top m
+// of the per-id maximum ranks, which is what keeping every candidate and
+// sorting at the end returns.
 class TopKAccumulator {
  public:
-  explicit TopKAccumulator(size_t m) : m_(m) {}
+  // `track_seen` keeps the set of every id passed to Add or MarkSeen, which
+  // Contains answers; only callers that ask Contains (RDIL / HDIL subtree
+  // verification, Naive-Rank) pay for it.
+  explicit TopKAccumulator(size_t m, bool track_seen = false)
+      : m_(m), track_seen_(track_seen) {}
 
   // Joins a shared θ floor (see SharedTopKThreshold): KthRank() returns
   // the maximum of the local m-th-best and the shared floor, and every Add
@@ -69,41 +84,52 @@ class TopKAccumulator {
   // Null (the default) detaches at zero cost.
   void AttachShared(SharedTopKThreshold* shared) { shared_ = shared; }
 
-  // Records a candidate. Returns true if the id was not seen before; a
-  // repeated id keeps the higher rank.
-  bool Add(const dewey::DeweyId& id, double rank);
+  // Offers a candidate under the admission rule above.
+  void Add(const dewey::DeweyId& id, double rank);
 
   // Marks an id as evaluated without giving it a rank (an element probed
-  // and rejected must not be verified again).
+  // and rejected must not be verified again). Requires seen-tracking.
   void MarkSeen(const dewey::DeweyId& id);
 
+  // Whether Add or MarkSeen saw `id`. Requires seen-tracking.
   bool Contains(const dewey::DeweyId& id) const;
 
-  // Number of candidates with rank >= threshold, capped at m (early exit).
+  // Number of candidates with rank >= threshold, capped at m (the heap
+  // holds at most m, and the best m are the ones that can count).
   size_t CountAtLeast(double threshold) const;
 
-  // Rank of the current m-th best candidate — the block-max pruning
-  // threshold θ: a page run whose upper bound is strictly below θ cannot
-  // change the top-m. -inf while fewer than m candidates are ranked (no
-  // pruning until the heap is full).
+  // Rank of the current m-th best candidate — the pruning threshold θ: a
+  // page run whose upper bound is strictly below θ cannot change the
+  // top-m. -inf while fewer than m candidates are ranked (no pruning until
+  // the heap is full).
   double KthRank() const;
 
-  size_t candidate_count() const { return ranks_by_id_.size(); }
+  // The local m-th-best rank, ignoring any shared floor (-inf until m are
+  // ranked). A candidate whose rank is strictly below it cannot be
+  // admitted, so callers may skip building it. The shared floor must not
+  // be used for that: it would drop candidates from this accumulator's own
+  // top-m, and a shard's response must not depend on its peers.
+  double LocalKthRank() const {
+    if (m_ == 0 || heap_.size() < m_) {
+      return -std::numeric_limits<double>::infinity();
+    }
+    return heap_.front().rank;
+  }
+
   size_t m() const { return m_; }
+  bool tracks_seen() const { return track_seen_; }
 
   // The top min(m, candidates) results, rank-descending (ties by id so
   // output is deterministic).
   std::vector<RankedResult> TakeTop() const;
 
  private:
-  // Local m-th-best rank, ignoring any shared floor (-inf until m ranked).
-  double LocalKthRank() const;
-
   size_t m_;
+  bool track_seen_;
   SharedTopKThreshold* shared_ = nullptr;
-  std::unordered_map<dewey::DeweyId, double, dewey::DeweyIdHash> ranks_by_id_;
-  std::unordered_map<dewey::DeweyId, bool, dewey::DeweyIdHash> seen_;
-  std::multiset<double, std::greater<double>> ranks_desc_;
+  // Heap whose front is the worst kept entry (the m-th best once full).
+  std::vector<RankedResult> heap_;
+  std::unordered_set<dewey::DeweyId, dewey::DeweyIdHash> seen_;
 };
 
 }  // namespace xrank::query

@@ -56,9 +56,10 @@ class ScoredCursor {
   // Document id of the current posting; kNoDocument once exhausted, so
   // cursors sort to the back naturally.
   uint32_t doc() const {
-    return live_ ? current_.id.document_id() : kNoDocument;
+    return live_ ? current_->id.document_id() : kNoDocument;
   }
-  const index::Posting& current() const { return current_; }
+  // The current posting, in the cursor's page; requires live().
+  const index::Posting& current() const { return *current_; }
   size_t term() const { return term_; }
   double score_bound() const { return score_bound_; }
   PostingCursor* cursor() { return cursor_; }
@@ -68,7 +69,7 @@ class ScoredCursor {
   PostingCursor* cursor_;
   size_t term_;
   double score_bound_;
-  index::Posting current_;
+  const index::Posting* current_ = nullptr;
   bool live_ = false;
 };
 

@@ -15,11 +15,14 @@ double AggregateRank(RankAggregation aggregation, double existing,
   return existing;
 }
 
-double CombineRanks(const std::vector<double>& keyword_ranks,
-                    double proximity) {
+double SumRanks(std::span<const double> keyword_ranks) {
   double sum = 0.0;
   for (double r : keyword_ranks) sum += r;
-  return sum * proximity;
+  return sum;
+}
+
+double CombineRanks(std::span<const double> keyword_ranks, double proximity) {
+  return SumRanks(keyword_ranks) * proximity;
 }
 
 bool SupportsBlockMaxPruning(const ScoringOptions& options) {

@@ -2,6 +2,7 @@
 #define XRANK_QUERY_SCORING_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dewey/dewey_id.h"
@@ -78,9 +79,11 @@ bool SupportsScorePruning(const ScoringOptions& options);
 // plain WAND and MaxScore to list-level bounds.
 bool SupportsBlockMaxBounds(const ScoringOptions& options);
 
+// Σ keyword ranks, summed in keyword order.
+double SumRanks(std::span<const double> keyword_ranks);
+
 // Overall rank = Σ keyword ranks × proximity (paper Section 2.3.2.2).
-double CombineRanks(const std::vector<double>& keyword_ranks,
-                    double proximity);
+double CombineRanks(std::span<const double> keyword_ranks, double proximity);
 
 }  // namespace xrank::query
 

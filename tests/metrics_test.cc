@@ -346,6 +346,41 @@ TEST(MetricsTest, QueryStatsMatchesRegistryDelta) {
             1u);
 }
 
+// The engine reports end-to-end latency: a traced query's wall_ms covers at
+// least its merge and decoration spans (decoration runs after the
+// processor returns), and a result-cache hit reports the time it took
+// rather than 0.
+TEST(MetricsTest, WallMsIsEndToEnd) {
+  EngineOptions options;
+  options.indexes = {IndexKind::kDil};
+  options.result_cache_entries = 16;
+  auto engine = XRankEngine::Build(Corpus(), options);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+
+  QueryTrace trace;
+  query::QueryOptions query_options;
+  query_options.trace = &trace;
+  auto response =
+      (*engine)->Query("xql xyleme", 5, IndexKind::kDil, query_options);
+  ASSERT_TRUE(response.ok()) << response.status();
+  ASSERT_FALSE(response->stats.result_cache_hit);
+  int64_t merge_us = -1;
+  int64_t decorate_us = -1;
+  for (const QueryTrace::Span& span : trace.spans()) {
+    if (span.name == "merge") merge_us = span.duration_us;
+    if (span.name == "decorate") decorate_us = span.duration_us;
+  }
+  ASSERT_GE(merge_us, 0);
+  ASSERT_GE(decorate_us, 0);
+  EXPECT_GE(response->stats.wall_ms * 1e3,
+            static_cast<double>(merge_us + decorate_us));
+
+  auto hit = (*engine)->Query("xql xyleme", 5, IndexKind::kDil);
+  ASSERT_TRUE(hit.ok()) << hit.status();
+  EXPECT_TRUE(hit->stats.result_cache_hit);
+  EXPECT_GT(hit->stats.wall_ms, 0.0);
+}
+
 // Same guarantee for the serving-path counters: per-engine ServingCounters
 // and the registry's pool/result-cache counters move in lockstep.
 TEST(MetricsTest, ServingCountersMatchRegistryDelta) {

@@ -197,6 +197,7 @@ index::ExtractionResult Extract(const graph::XmlGraph& graph,
                                 const std::vector<double>& ranks,
                                 int num_threads) {
   index::ExtractionOptions options;
+  options.build_naive = true;  // compared below
   options.num_threads = num_threads;
   auto extracted = index::ExtractPostings(graph, ranks, options);
   EXPECT_TRUE(extracted.ok()) << extracted.status();

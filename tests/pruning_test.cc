@@ -457,7 +457,7 @@ TEST(BlockCacheTest, ByteBudgetEvictsLeastRecentlyUsed) {
   // Room for ~3 blocks in one shard.
   index::BlockCache cache(charge * 3 + charge / 2, /*num_shards=*/1);
 
-  auto block = std::make_shared<const index::BlockCache::Block>(sample);
+  auto block = std::make_shared<index::BlockCache::Block>(sample);
   for (uint32_t p = 0; p < 5; ++p) {
     cache.Insert(index::BlockCache::Key{1, p}, block);
   }
@@ -472,7 +472,7 @@ TEST(BlockCacheTest, ByteBudgetEvictsLeastRecentlyUsed) {
 
 TEST(BlockCacheTest, ZeroCapacityDisablesCaching) {
   index::BlockCache cache(0);
-  auto block = std::make_shared<const index::BlockCache::Block>();
+  auto block = std::make_shared<index::BlockCache::Block>();
   cache.Insert(index::BlockCache::Key{1, 1}, block);
   EXPECT_EQ(cache.Lookup(index::BlockCache::Key{1, 1}), nullptr);
   EXPECT_EQ(cache.cached_blocks(), 0u);

@@ -171,10 +171,8 @@ TEST(ReorderTest, PermutationIsValidAndDeterministicAcrossThreadCounts) {
   auto engine = XRankEngine::Build(std::move(docs), options);
   ASSERT_TRUE(engine.ok()) << engine.status();
 
-  index::ExtractionOptions extraction;
-  extraction.build_naive = false;
   auto extracted = index::ExtractPostings((*engine)->graph(),
-                                          (*engine)->elem_ranks(), extraction);
+                                          (*engine)->elem_ranks(), {});
   ASSERT_TRUE(extracted.ok()) << extracted.status();
   const uint32_t doc_count =
       static_cast<uint32_t>((*engine)->graph().documents().size());

@@ -49,6 +49,28 @@ if speedup < 1.0:
     print("check_perf: FAIL — block-max pruning slower than exhaustive merge")
     sys.exit(1)
 
+# Deep-merge gate: the serving Dewey-stack merge on XMark-depth ids (1-3
+# keywords, disjunctive, bounded top-10) against the shallow 4-level
+# BM_DeweyStackMerge of the same run, so host speed cancels out. Every
+# deep row must keep >= 0.35x the shallow throughput (reference host:
+# 0.64-1.3x; a merge that allocates per frame and keeps every candidate
+# runs 0.12-0.17x).
+shallow = next((b for b in report["benchmarks"]
+                if b["name"] == "BM_DeweyStackMerge"), None)
+deep = [b for b in report["benchmarks"]
+        if b["name"].startswith("BM_DeweyStackMergeDeep/")]
+if shallow is None or not deep:
+    print("check_perf: FAIL — DeweyStackMerge rows missing from", sys.argv[1])
+    sys.exit(2)
+for row in deep:
+    ratio = row["items_per_second"] / shallow["items_per_second"]
+    print(f"check_perf: {row['name']} {row['ns_per_posting']:.0f} ns/posting, "
+          f"{ratio:.2f}x shallow merge throughput (gate: 0.35x)")
+    if ratio < 0.35:
+        print("check_perf: FAIL — deep Dewey-stack merge below 0.35x the "
+              "shallow merge")
+        sys.exit(1)
+
 # Posting-codec gate: the bit-packed block codec must decode at >= 2x the
 # varint baseline's throughput while spending no more bytes per posting
 # (reference host: ~8x and ~0.76x; 2.0/1.0 only catch real regressions).
